@@ -162,3 +162,10 @@ for point in curve["points"]:
         "bitwise ok"
     )
 EOF
+
+echo "== golden bits (perfbench outputs vs per-seed reference sha256) =="
+# the only check pinning absolute serial and megabatch bits; the tests
+# compare engines with each other.  run.py exits 1 on a failed check.
+for workload in table1_pair cohort_round service_stream; do
+    python3 perfbench/run.py --workload "$workload" --seed 0 --trace 0
+done

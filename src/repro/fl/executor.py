@@ -305,7 +305,7 @@ class MegabatchExecutor(ClientExecutor):
     Training tasks are grouped by *megabatch signature* — identical
     dataset geometry and local-SGD hyper-parameters on a stock benign
     :class:`~repro.fl.client.Client` — and each group runs as single
-    stacked tensor ops sharing the global weights read-only (no
+    stacked tensor ops on one model clone per wave (not one
     ``clone_module`` per client).  Anything that does not fit the
     vectorized contract (malicious clients, fault stubs, empty datasets,
     dtype/hyper-parameter mismatches, unsupported layers, non-update

@@ -16,6 +16,25 @@ one flag per output channel/feature.  A masked-out channel:
 
 This is how the paper's federated pruning "removes" a neuron without
 physically reshaping downstream layers.
+
+Client axis
+-----------
+One layer instance can train K clients at once (the megabatch engine,
+:func:`repro.nn.megabatch.train_wave`).  With ``module.clients == K``:
+
+* every parameter is a ``(K,) + shape`` stack, one slice per client
+  (``K == 1`` keeps the plain ``shape``);
+* activations keep the batch axis first and flatten the clients into
+  it, ``(K*b, ...)``, client ``k`` owning rows ``k*b .. (k+1)*b``.
+
+:class:`Conv2d` and :class:`Linear` view their weights as ``(K, out,
+in)`` and run one :func:`numpy.matmul` over ``(K, rows, cols)``;
+NumPy dispatches one GEMM per client slice with the shapes a single
+model uses, so each slice's floats are that client's serial floats.
+Ordinary training is the ``K == 1`` case of the same formulas.
+Elementwise and pooling layers are row-independent and need no change;
+:class:`Dropout` draws one per-client mask and tiles it across the K
+clients.
 """
 
 from __future__ import annotations
@@ -82,7 +101,7 @@ class Conv2d(Module):
         self._weight_2d_mask: bytes | None = None
 
     def _masked_weight_2d(self) -> np.ndarray:
-        """The masked weight matrix ``(out_channels, c*k*k)``, cached.
+        """The masked weight matrices ``(K, out_channels, c*k*k)``, cached.
 
         Forward and backward both need this product; recomputing it per
         pass doubles the masking cost for nothing.  The cache is keyed on
@@ -100,7 +119,7 @@ class Conv2d(Module):
         ):
             self._weight_2d = (
                 self.weight.data * self.out_mask[:, None, None, None]
-            ).reshape(self.out_channels, -1)
+            ).reshape(self.clients, self.out_channels, -1)
             self._weight_2d_src = self.weight.data
             self._weight_2d_version = self.weight.version
             self._weight_2d_mask = mask_bytes
@@ -117,8 +136,9 @@ class Conv2d(Module):
         out_h, out_w = plan.out_h, plan.out_w
 
         cols = F.im2col(x, k, k, self.stride, self.padding)
-        weight_2d = self._masked_weight_2d()
-        out = cols @ weight_2d.T + self.bias.data * self.out_mask
+        cols = cols.reshape(self.clients, -1, cols.shape[1])
+        bias = (self.bias.data * self.out_mask).reshape(self.clients, 1, -1)
+        out = np.matmul(cols, self._masked_weight_2d().transpose(0, 2, 1)) + bias
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         self._cache = (x.shape, cols)
         return out
@@ -127,16 +147,19 @@ class Conv2d(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_shape, cols = self._cache
-        n, _, out_h, out_w = grad_output.shape
 
-        grad_2d = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        grad_2d = grad_2d * self.out_mask  # masked channels learn nothing
+        grad_3d = grad_output.transpose(0, 2, 3, 1).reshape(
+            self.clients, -1, self.out_channels
+        )
+        grad_3d = grad_3d * self.out_mask  # masked channels learn nothing
 
-        grad_weight = (grad_2d.T @ cols).reshape(self.weight.shape)
-        self.weight.grad += grad_weight * self.out_mask[:, None, None, None]
-        self.bias.grad += grad_2d.sum(axis=0) * self.out_mask
+        grad_weight = np.matmul(grad_3d.transpose(0, 2, 1), cols)
+        mask = self.out_mask[:, None, None, None]
+        self.weight.grad += grad_weight.reshape(self.weight.shape) * mask
+        self.bias.grad += grad_3d.sum(axis=1).reshape(self.bias.shape) * self.out_mask
 
-        grad_cols = grad_2d @ self._masked_weight_2d()
+        grad_cols = np.matmul(grad_3d, self._masked_weight_2d())
+        grad_cols = grad_cols.reshape(-1, grad_cols.shape[2])
         k = self.kernel_size
         return F.col2im(grad_cols, x_shape, k, k, self.stride, self.padding)
 
@@ -186,16 +209,27 @@ class Linear(Module):
             raise ValueError(
                 f"expected input (n, {self.in_features}), got {x.shape}"
             )
+        x = x.reshape(self.clients, -1, self.in_features)
         self._input = x
-        return (x @ self.weight.data.T + self.bias.data) * self.out_mask
+        bias = self.bias.data.reshape(self.clients, 1, self.out_features)
+        out = np.matmul(x, self._weight_3d().transpose(0, 2, 1)) + bias
+        return (out * self.out_mask).reshape(-1, self.out_features)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
+        grad_output = grad_output.reshape(self.clients, -1, self.out_features)
         grad_output = grad_output * self.out_mask
-        self.weight.grad += grad_output.T @ self._input
-        self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.data
+        grad_weight = np.matmul(grad_output.transpose(0, 2, 1), self._input)
+        self.weight.grad += grad_weight.reshape(self.weight.shape)
+        self.bias.grad += grad_output.sum(axis=1).reshape(self.bias.shape)
+        grad_input = np.matmul(grad_output, self._weight_3d())
+        return grad_input.reshape(-1, self.in_features)
+
+    def _weight_3d(self) -> np.ndarray:
+        return self.weight.data.reshape(
+            self.clients, self.out_features, self.in_features
+        )
 
     def apply_mask(self) -> None:
         """Zero parameters of masked output features in place."""
@@ -358,7 +392,13 @@ class Dropout(Module):
             self._mask = None
             return x
         keep = 1.0 - self.p
-        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype)
+        # one client's mask, shared by all K: a wave stands for K
+        # deep copies of one model, whose generators draw alike
+        per_client = (x.shape[0] // self.clients,) + x.shape[1:]
+        mask = ((self.rng.random(per_client) < keep) / keep).astype(x.dtype)
+        self._mask = np.broadcast_to(mask, (self.clients,) + per_client).reshape(
+            x.shape
+        )
         return x * self._mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -58,7 +58,10 @@ class CrossEntropyLoss:
     """Softmax cross-entropy over integer class labels.
 
     ``forward`` consumes raw logits ``(n, num_classes)`` and labels
-    ``(n,)``; ``backward`` returns ``(softmax - onehot) / n``.
+    ``(n,)``; ``backward`` returns ``(softmax - onehot) / n``.  For a
+    wave of K clients (see :mod:`repro.nn.layers`) the labels are
+    ``(K, b)`` with ``K*b == n``, and the gradient divides by each
+    client's own batch size ``b``.
     """
 
     def __init__(self, l2_penalty: LayerL2Penalty | None = None) -> None:
@@ -69,14 +72,14 @@ class CrossEntropyLoss:
         labels = np.asarray(labels)
         if logits.ndim != 2:
             raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
-        if labels.shape != (logits.shape[0],):
+        if labels.ndim not in (1, 2) or labels.size != logits.shape[0]:
             raise ValueError(
                 f"labels shape {labels.shape} does not match batch "
                 f"{logits.shape[0]}"
             )
         probs = F.softmax(logits, axis=1)
         self._cache = (probs, labels)
-        loss = F.stable_cross_entropy(logits, labels)
+        loss = F.stable_cross_entropy(logits, labels.reshape(-1))
         if self.l2_penalty is not None:
             loss += self.l2_penalty.value()
         return loss
@@ -85,12 +88,11 @@ class CrossEntropyLoss:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         probs, labels = self._cache
-        n = probs.shape[0]
         grad = probs.copy()
-        grad[np.arange(n), labels] -= 1.0
+        grad[np.arange(probs.shape[0]), labels.reshape(-1)] -= 1.0
         if self.l2_penalty is not None:
             self.l2_penalty.add_gradients()
-        return grad / n
+        return grad / labels.shape[-1]
 
     __call__ = forward
 

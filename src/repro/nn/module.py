@@ -123,7 +123,13 @@ class Module:
     Subclasses implement :meth:`forward` and :meth:`backward`.  The base
     class provides parameter traversal, train/eval mode, state-dict
     serialization and activation recording.
+
+    ``clients`` is the width K of the client axis the module computes
+    over (see :mod:`repro.nn.layers`): 1 for an ordinary model, K when
+    :func:`~repro.nn.megabatch.train_wave` trains K clients at once.
     """
+
+    clients = 1
 
     def __init__(self) -> None:
         self.training = True

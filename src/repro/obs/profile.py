@@ -29,9 +29,10 @@ layer.  Enable it for a whole run with
 ``RunContext(profile=True)``: :class:`~repro.defense.pipeline.DefensePipeline`,
 :class:`~repro.fl.server.FederatedServer` (via ``build_setup``) and
 :class:`~repro.baselines.neural_cleanse.NeuralCleanse` all wrap their
-model work in :func:`maybe_profile`.  Worker processes never see the
-coordinator's hook, so process-pool client work is not profiled —
-profile under the serial executor for full coverage.
+model work in :func:`maybe_profile`.  Serial and megabatch training
+run the same layer classes in this process and are profiled alike (a
+megabatch wave folds into the serial rows).  Worker processes never see
+the coordinator's hook, so process-pool client work is not profiled.
 """
 
 from __future__ import annotations
@@ -66,11 +67,13 @@ _NULL_PROFILE = _NullProfile()
 def _layer_key(module, out) -> str:
     """Stable per-structure label: class name + defining shape.
 
-    Parameterised layers are keyed on their first parameter's shape
-    (``Conv2d(8,1,3,3)``); parameter-free layers on the *output* shape
-    they produce, batch dimension excluded (``ReLU(8,4,4)``) — which
-    tells the two ReLUs of a CNN apart without depending on object
-    identity, so executor-made model clones aggregate into one row.
+    Parameterised layers are keyed on their first parameter's
+    per-client shape (``Conv2d(8,1,3,3)``, also inside a megabatch
+    wave, whose parameters carry a leading client axis); parameter-free
+    layers on the *output* shape they produce, batch dimension excluded
+    (``ReLU(8,4,4)``) — which tells the two ReLUs of a CNN apart
+    without depending on object identity, so executor-made model clones
+    aggregate into one row.
     The output shape (not input) is the anchor because it is the one
     shape forward and backward agree on: the gradient entering a
     layer's backward has that layer's output shape, so both directions
@@ -80,6 +83,8 @@ def _layer_key(module, out) -> str:
     for value in vars(module).values():
         if hasattr(value, "data") and hasattr(value, "grad"):
             shape = value.data.shape
+            if module.clients > 1:  # a megabatch wave's (K,) + shape stack
+                shape = shape[1:]
             break
     else:
         shape = getattr(out, "shape", ())[1:]

@@ -211,7 +211,7 @@ class TestDefenseDeterminism:
                 DefenseConfig(
                     method=method, fine_tune=True, fine_tune_rounds=2
                 ),
-                executor=executor,
+                context=RunContext(executor=executor),
             )
             report = pipeline.run(model)
             return model.flat_parameters(), report, pipeline.events

@@ -28,6 +28,7 @@ from repro.fl.server import FederatedServer
 from repro.nn.megabatch import supports_megabatch, train_wave
 from repro.nn.serialization import clone_module
 from repro.obs import RingBufferSink, Telemetry, dumps_canonical
+from repro.obs.profile import LayerProfiler
 
 
 def build_world(
@@ -39,11 +40,15 @@ def build_world(
     dropout=0.0,
     last_conv_l2=0.0,
     weight_decay=0.0,
+    tanh_avgpool=False,
+    template_eval=False,
 ):
     """A fresh, fully seeded federation — identical on every call.
 
     Defaults pick awkward shapes on purpose: a trailing partial batch
     every epoch, several epochs of RNG consumption per client.
+    ``tanh_avgpool`` swaps ReLU/MaxPool2d for Tanh/AvgPool2d;
+    ``template_eval`` leaves the template model in eval mode.
     """
     total = num_clients * samples_per_client
     data_rng = np.random.default_rng(seed)
@@ -66,14 +71,16 @@ def build_world(
     model_rng = np.random.default_rng(seed + 1)
     layers = [
         nn.Conv2d(1, 4, kernel_size=3, padding=1, rng=model_rng),
-        nn.ReLU(),
-        nn.MaxPool2d(2),
+        nn.Tanh() if tanh_avgpool else nn.ReLU(),
+        nn.AvgPool2d(2) if tanh_avgpool else nn.MaxPool2d(2),
         nn.Flatten(),
         nn.Linear(4 * 4 * 4, 4, rng=model_rng),
     ]
     if dropout:
         layers.insert(3, nn.Dropout(dropout, rng=np.random.default_rng(9)))
     model = nn.Sequential(*layers)
+    if template_eval:
+        model.eval()
     return model, clients, dataset
 
 
@@ -137,8 +144,11 @@ class TestWaveParity:
             {"dropout": 0.3},  # per-client masks drawn from cloned rng
             {"last_conv_l2": 0.01, "weight_decay": 1e-4},
             {"batch_size": 64, "local_epochs": 1},  # single full batch
+            {"tanh_avgpool": True},
+            {"dropout": 0.3, "template_eval": True},  # the wave must train
         ],
-        ids=["default", "dropout", "penalties", "one-batch"],
+        ids=["default", "dropout", "penalties", "one-batch", "tanh-avgpool",
+             "eval-template"],
     )
     def test_deltas_and_rng_bitwise_identical(self, world_kwargs):
         serial_deltas, serial_rng = _wave(SerialExecutor(), **world_kwargs)
@@ -222,6 +232,20 @@ class TestWaveParity:
         for a, b in zip(serial, mega):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+class TestProfilerVisibility:
+    def _profiled_keys(self, executor):
+        with LayerProfiler() as prof:
+            _wave(executor)
+        assert all(entry["backward_calls"] for entry in prof.stats.values())
+        return sorted(prof.stats)
+
+    def test_megabatch_rows_match_serial_rows(self):
+        """Waves of 4 and 2 fold into the serial per-layer rows."""
+        serial = self._profiled_keys(SerialExecutor())
+        assert "Conv2d(4,1,3,3)" in serial
+        assert self._profiled_keys(MegabatchExecutor(wave_size=4)) == serial
 
 
 class TestTrainingParity:
