@@ -19,24 +19,18 @@ model untouched.  Fault counts are reported on the result.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..fl.aggregation import fedavg
+from ..fl.coordinator import _resolve_quorum, check_quorum
 from ..fl.executor import ClientExecutor, collect_updates
 from ..fl.faults import validate_update
 from ..nn.layers import Sequential
-from ..nn.serialization import apply_model_state, pack_model_state
 from ..obs.telemetry import Telemetry, ensure_telemetry
 from ..persist.checkpoint import CheckpointManager
-from ..persist.state import (
-    DELTA_PREFIX,
-    capture_client_states,
-    restore_client_states,
-    shared_fault_model,
-)
+from ..persist.state import pack_run_state, restore_run_state
 
 __all__ = ["FineTuneResult", "federated_fine_tune"]
 
@@ -173,16 +167,8 @@ def federated_fine_tune(
         raise ValueError("resume=True requires a checkpoint manager")
     if not clients:
         raise ValueError("need at least one client to fine-tune")
-    if isinstance(min_quorum, float):
-        if not 0.0 < min_quorum <= 1.0:
-            raise ValueError(
-                f"fractional min_quorum must be in (0, 1], got {min_quorum}"
-            )
-        quorum = max(1, math.ceil(min_quorum * len(clients)))
-    else:
-        if min_quorum < 1:
-            raise ValueError(f"min_quorum must be >= 1, got {min_quorum}")
-        quorum = min_quorum
+    check_quorum(min_quorum, "min_quorum")
+    quorum = _resolve_quorum(min_quorum, len(clients))
 
     tel = ensure_telemetry(telemetry)
     start_round = 0
@@ -196,16 +182,7 @@ def federated_fine_tune(
             rejected=[f for f, _ in checkpoint.last_rejected],
         )
         meta = snapshot.meta
-        model_arrays = {
-            name: value
-            for name, value in snapshot.arrays.items()
-            if not name.startswith(DELTA_PREFIX) and name != _BEST_KEY
-        }
-        apply_model_state(model, model_arrays)
-        restore_client_states(clients, meta["clients"], snapshot.arrays)
-        fault_model = shared_fault_model(clients)
-        if fault_model is not None and "fault_model" in meta:
-            fault_model.load_state_dict(meta["fault_model"])
+        restore_run_state(model, clients, snapshot.arrays, meta, (_BEST_KEY,))
         baseline = float(meta["baseline_accuracy"])
         best_accuracy = float(meta["best_accuracy"])
         best_params = np.array(snapshot.arrays[_BEST_KEY], copy=True)
@@ -315,21 +292,16 @@ def _save_fine_tune_checkpoint(
 ) -> None:
     """Durably snapshot the fine-tuning loop after ``round_cursor`` rounds."""
     tel.event("persist.checkpoint", kind="fine_tune", step=round_cursor)
-    arrays = pack_model_state(model)
-    arrays[_BEST_KEY] = np.asarray(best_params)
-    client_meta, client_arrays = capture_client_states(clients)
-    arrays.update(client_arrays)
-    meta = {
-        "baseline_accuracy": float(baseline),
-        "best_accuracy": float(best_accuracy),
-        "stale_rounds": int(stale_rounds),
-        "accuracy_trace": [float(a) for a in trace],
-        "num_dropped": int(num_dropped),
-        "num_rejected": int(num_rejected),
-        "skipped_rounds": [int(r) for r in skipped_rounds],
-        "clients": client_meta,
-    }
-    fault_model = shared_fault_model(clients)
-    if fault_model is not None:
-        meta["fault_model"] = fault_model.state_dict()
+    arrays, meta = pack_run_state(
+        model, clients, {_BEST_KEY: np.asarray(best_params)}
+    )
+    meta.update(
+        baseline_accuracy=float(baseline),
+        best_accuracy=float(best_accuracy),
+        stale_rounds=int(stale_rounds),
+        accuracy_trace=[float(a) for a in trace],
+        num_dropped=int(num_dropped),
+        num_rejected=int(num_rejected),
+        skipped_rounds=[int(r) for r in skipped_rounds],
+    )
     checkpoint.save("fine_tune", round_cursor, arrays, meta)

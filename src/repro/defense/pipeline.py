@@ -35,24 +35,18 @@ stage instead of from scratch.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..eval.timers import StageTimer
-from ..fl.executor import ClientExecutor, collect_reports
+from ..fl.coordinator import StrikeLedger, _resolve_quorum, check_quorum
+from ..fl.executor import collect_reports
 from ..nn.layers import Conv2d, Linear, Sequential
-from ..nn.serialization import apply_model_state, pack_model_state
-from ..obs.context import RunContext, warn_deprecated_kwarg
+from ..obs.context import RunContext
 from ..obs.profile import maybe_profile
 from ..persist.checkpoint import CheckpointManager, Snapshot
-from ..persist.state import (
-    DELTA_PREFIX,
-    capture_client_states,
-    restore_client_states,
-    shared_fault_model,
-)
+from ..persist.state import pack_run_state, restore_run_state
 from .adjust_weights import AdjustResult, adjust_extreme_weights
 from .fine_tune import FineTuneResult, federated_fine_tune
 from .pruning import PruningResult, prune_by_sequence
@@ -124,16 +118,7 @@ class DefenseConfig:
             raise ValueError(
                 f"max_report_strikes must be >= 1 or None, got {max_report_strikes}"
             )
-        if isinstance(min_report_quorum, float):
-            if not 0.0 < min_report_quorum <= 1.0:
-                raise ValueError(
-                    f"fractional min_report_quorum must be in (0, 1], "
-                    f"got {min_report_quorum}"
-                )
-        elif min_report_quorum < 1:
-            raise ValueError(
-                f"min_report_quorum must be >= 1, got {min_report_quorum}"
-            )
+        check_quorum(min_report_quorum, "min_report_quorum")
         self.method = method
         self.prune_rate = prune_rate
         self.accuracy_drop_threshold = accuracy_drop_threshold
@@ -190,10 +175,6 @@ class DefensePipeline:
         A :class:`~repro.obs.context.RunContext` carrying the telemetry
         hub and client-execution engine.  Results are bitwise identical
         across executors; stage timings come from telemetry spans.
-    executor:
-        Deprecated — pass ``context=RunContext(executor=...)`` instead.
-        Still honoured (with a :class:`DeprecationWarning`) when no
-        context supplies an executor.
     """
 
     def __init__(
@@ -202,7 +183,6 @@ class DefensePipeline:
         accuracy_fn: Callable[[Sequential], float],
         config: DefenseConfig | None = None,
         layer: Conv2d | Linear | None = None,
-        executor: ClientExecutor | None = None,
         context: RunContext | None = None,
     ) -> None:
         if not clients:
@@ -211,15 +191,17 @@ class DefensePipeline:
         self.accuracy_fn = accuracy_fn
         self.config = config or DefenseConfig()
         self.layer = layer
-        if executor is not None:
-            warn_deprecated_kwarg("DefensePipeline", "executor", "executor")
-        ctx = context if context is not None else RunContext(executor=executor)
+        ctx = context if context is not None else RunContext()
         self.context = ctx
-        self.executor = ctx.executor if ctx.executor is not None else executor
+        self.executor = ctx.executor
         self.telemetry = ctx.telemetry
-        self.quarantined: set[int] = set()
+        self.strikes = StrikeLedger(self.config.max_report_strikes)
         self.events: list[tuple[str, int, str]] = []  # (kind, client_id, detail)
-        self._report_strikes: dict[int, int] = {}
+
+    @property
+    def quarantined(self) -> set[int]:
+        """Clients quarantined for malformed reports."""
+        return self.strikes.quarantined
 
     def _target_layer(self, model: Sequential) -> Conv2d | Linear:
         return self.layer if self.layer is not None else model.last_conv()
@@ -233,15 +215,8 @@ class DefensePipeline:
         self.telemetry.event(
             "defense.malformed_report", client=client_id, reason=reason
         )
-        if self.config.max_report_strikes is None:
-            return
-        strikes = self._report_strikes.get(client_id, 0) + 1
-        self._report_strikes[client_id] = strikes
-        if (
-            strikes >= self.config.max_report_strikes
-            and client_id not in self.quarantined
-        ):
-            self.quarantined.add(client_id)
+        if self.strikes.record(client_id):
+            strikes = self.strikes.counts[client_id]
             self.events.append(
                 ("quarantine", client_id, f"{strikes} malformed reports")
             )
@@ -249,12 +224,6 @@ class DefensePipeline:
                 "defense.quarantine", client=client_id, strikes=strikes
             )
             self.telemetry.count("defense.quarantines")
-
-    def _report_quorum(self, num_active: int) -> int:
-        quorum = self.config.min_report_quorum
-        if isinstance(quorum, float):
-            return max(1, math.ceil(quorum * num_active))
-        return max(1, quorum)
 
     def global_prune_order(self, model: Sequential) -> np.ndarray:
         """Collect client reports and aggregate into a pruning sequence.
@@ -298,7 +267,7 @@ class DefensePipeline:
                 self._record_strike(client.client_id, reason)
                 continue
             reports.append(np.asarray(value))
-        quorum = self._report_quorum(len(active))
+        quorum = _resolve_quorum(self.config.min_report_quorum, len(active))
         if len(reports) < quorum:
             raise ValueError(
                 f"only {len(reports)} well-formed pruning reports received "
@@ -461,31 +430,20 @@ class DefensePipeline:
         if checkpoint is None:
             return
         self.telemetry.event("persist.checkpoint", kind="defense", step=stage)
-        arrays = pack_model_state(model)
-        client_meta, client_arrays = capture_client_states(self.clients)
-        arrays.update(client_arrays)
-        meta = {
-            "stage": int(stage),
-            "quarantined": sorted(int(c) for c in self.quarantined),
-            "strikes": {
-                str(k): int(v) for k, v in self._report_strikes.items()
-            },
-            "events": [[kind, int(cid), detail] for kind, cid, detail in self.events],
-            "clients": client_meta,
-            "stage_seconds": {
+        arrays, meta = pack_run_state(model, self.clients)
+        meta.update(self.strikes.to_meta("quarantined"))
+        meta.update(
+            stage=int(stage),
+            events=[[kind, int(cid), detail] for kind, cid, detail in self.events],
+            stage_seconds={
                 name: float(secs) for name, secs in timer.seconds.items()
             },
-            "pruning": pruning.to_jsonable() if pruning is not None else None,
-            "fine_tuning": (
+            pruning=pruning.to_jsonable() if pruning is not None else None,
+            fine_tuning=(
                 fine_tuning.to_jsonable() if fine_tuning is not None else None
             ),
-            "adjusting": (
-                adjusting.to_jsonable() if adjusting is not None else None
-            ),
-        }
-        fault_model = shared_fault_model(self.clients)
-        if fault_model is not None:
-            meta["fault_model"] = fault_model.state_dict()
+            adjusting=adjusting.to_jsonable() if adjusting is not None else None,
+        )
         checkpoint.save("defense", stage, arrays, meta)
 
     def _restore_snapshot(
@@ -498,20 +456,8 @@ class DefensePipeline:
     ]:
         """Apply a ``"defense"`` snapshot: model, clients, ledger, results."""
         meta = snapshot.meta
-        model_arrays = {
-            name: value
-            for name, value in snapshot.arrays.items()
-            if not name.startswith(DELTA_PREFIX)
-        }
-        apply_model_state(model, model_arrays)
-        restore_client_states(self.clients, meta["clients"], snapshot.arrays)
-        fault_model = shared_fault_model(self.clients)
-        if fault_model is not None and "fault_model" in meta:
-            fault_model.load_state_dict(meta["fault_model"])
-        self.quarantined = {int(c) for c in meta["quarantined"]}
-        self._report_strikes = {
-            int(k): int(v) for k, v in meta["strikes"].items()
-        }
+        restore_run_state(model, self.clients, snapshot.arrays, meta)
+        self.strikes.load_meta(meta, "quarantined")
         self.events = [
             (kind, int(cid), detail) for kind, cid, detail in meta["events"]
         ]

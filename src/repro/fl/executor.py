@@ -513,6 +513,54 @@ def _client_id(client):
 # -- orchestration -----------------------------------------------------
 
 
+def _update_wave(
+    executor: ClientExecutor,
+    clients: Sequence,
+    attempts: Sequence[int],
+    model,
+    global_params: np.ndarray,
+    round_index: int | None,
+    wave_index: int,
+    tel: Telemetry,
+):
+    """Fan one wave of training tasks out; yield ``(status, value)`` per client.
+
+    Inside the wave's ``exec.wave`` span, each client's RNG stream is
+    marshalled home and its worker-timed ``exec.local_update`` span
+    recorded in stable client order before its outcome is yielded, so
+    whatever the caller does with an outcome lands in the same span.
+    Callers must exhaust the generator: the span closes at its end.
+    """
+    clone = not executor.clones_payloads
+    with tel.span("exec.wave", index=wave_index, tasks=len(clients)):
+        strip_runtime_state(model)
+        tasks = [
+            (_unwrap(client), model, global_params, round_index, clone)
+            for client in clients
+        ]
+        results = executor.map_clients(_run_update, tasks)
+        for client, attempt, (status, value, rng_state, seconds) in zip(
+            clients, attempts, results
+        ):
+            _restore_rng(_unwrap(client), rng_state)
+            tel.record_span(
+                "exec.local_update",
+                seconds,
+                client=_client_id(client),
+                status=status,
+                attempt=attempt,
+            )
+            yield status, value
+
+
+def _gauge_redispatches(executor: ClientExecutor, tel: Telemetry) -> None:
+    # worker re-dispatches happen only when workers die, so the gauge is
+    # emitted only then — quiet runs stay byte-identical across engines
+    redispatches = getattr(executor, "redispatches", 0)
+    if redispatches:
+        tel.gauge("exec.redispatches", redispatches)
+
+
 def collect_updates(
     executor: ClientExecutor | None,
     clients: Sequence,
@@ -550,7 +598,6 @@ def collect_updates(
     tel = ensure_telemetry(telemetry)
     global_params = np.asarray(global_params)
     param_dim = int(global_params.size)
-    clone = not executor.clones_payloads
 
     outcomes: list[tuple[str, object] | None] = [None] * len(clients)
     # mutable job records: [position, client, attempts_left, last_reason]
@@ -581,47 +628,36 @@ def collect_updates(
             wave.append((job, plan))
         if not wave:
             break
-        with tel.span("exec.wave", index=wave_index, tasks=len(wave)):
-            strip_runtime_state(model)
-            tasks = [
-                (_unwrap(job[1]), model, global_params, round_index, clone)
-                for job, _ in wave
-            ]
-            results = executor.map_clients(_run_update, tasks)
-            jobs = []
-            for (job, plan), (status, value, rng_state, seconds) in zip(
-                wave, results
-            ):
-                position, client = job[0], job[1]
-                _restore_rng(_unwrap(client), rng_state)
-                tel.record_span(
-                    "exec.local_update",
-                    seconds,
-                    client=_client_id(client),
-                    status=status,
-                    attempt=1 + retries - job[2],
-                )
-                if status == "ok":
-                    delta = value
-                    if plan is not None:
-                        delta = client.finish_local_update(plan, delta)
-                    outcomes[position] = ("ok", delta)
-                elif job[2] > 0:
-                    job[3] = value
-                    tel.event(
-                        "exec.retry", client=_client_id(client), reason=value
-                    )
-                    jobs.append(job)  # retry in the next wave
-                else:
-                    outcomes[position] = ("dropped", value)
+        jobs = []
+        results = _update_wave(
+            executor,
+            [job[1] for job, _ in wave],
+            [1 + retries - job[2] for job, _ in wave],
+            model,
+            global_params,
+            round_index,
+            wave_index,
+            tel,
+        )
+        # driving the loop from the generator runs it to the end, which
+        # closes the wave span before the next wave is planned
+        for index, (status, value) in enumerate(results):
+            job, plan = wave[index]
+            position, client = job[0], job[1]
+            if status == "ok":
+                delta = value
+                if plan is not None:
+                    delta = client.finish_local_update(plan, delta)
+                outcomes[position] = ("ok", delta)
+            elif job[2] > 0:
+                job[3] = value
+                tel.event("exec.retry", client=_client_id(client), reason=value)
+                jobs.append(job)  # retry in the next wave
+            else:
+                outcomes[position] = ("dropped", value)
         wave_index += 1
 
-    # worker re-dispatches happen only when workers die, so the gauge is
-    # emitted only then — quiet runs stay byte-identical across engines
-    redispatches = getattr(executor, "redispatches", 0)
-    if redispatches:
-        tel.gauge("exec.redispatches", redispatches)
-
+    _gauge_redispatches(executor, tel)
     return outcomes
 
 
@@ -648,34 +684,24 @@ def dispatch_updates(
     ``("dropped", reason)`` when the client's own ``local_update``
     raised :class:`~repro.fl.faults.ClientDropout`.
     """
+    if not clients:
+        return []
     if executor is None:
         executor = _DEFAULT_EXECUTOR
     tel = ensure_telemetry(telemetry)
-    global_params = np.asarray(global_params)
-    clone = not executor.clones_payloads
-    outcomes: list[tuple[str, object]] = []
-    if not clients:
-        return outcomes
-    with tel.span("exec.wave", index=0, tasks=len(clients)):
-        strip_runtime_state(model)
-        tasks = [
-            (_unwrap(client), model, global_params, round_index, clone)
-            for client in clients
-        ]
-        results = executor.map_clients(_run_update, tasks)
-        for client, (status, value, rng_state, seconds) in zip(clients, results):
-            _restore_rng(_unwrap(client), rng_state)
-            tel.record_span(
-                "exec.local_update",
-                seconds,
-                client=_client_id(client),
-                status=status,
-                attempt=1,
-            )
-            outcomes.append((status, value))
-    redispatches = getattr(executor, "redispatches", 0)
-    if redispatches:
-        tel.gauge("exec.redispatches", redispatches)
+    outcomes = list(
+        _update_wave(
+            executor,
+            clients,
+            [1] * len(clients),
+            model,
+            np.asarray(global_params),
+            round_index,
+            0,
+            tel,
+        )
+    )
+    _gauge_redispatches(executor, tel)
     return outcomes
 
 

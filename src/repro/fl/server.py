@@ -20,11 +20,16 @@ future selection.  Every such event is recorded on the round's
 :class:`RoundMetrics` so :class:`TrainingHistory` doubles as a fault
 log.  With fully reliable clients none of these paths trigger and the
 loop is exactly the paper's.
+
+The round loop is this module's own; the books it shares with the
+deadline-scheduled :class:`~repro.fl.service.DefenseService` — population
+checks, aggregator, strike ledger, transport sequence counter and
+delivery gate, checksum verdict, checkpoint core and resume prologue —
+live in :class:`~repro.fl.coordinator.Coordinator`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,28 +38,18 @@ from ..attacks.poison import BackdoorTask
 from ..data.dataset import Dataset
 from ..eval.metrics import attack_success_rate, test_accuracy
 from ..nn.layers import Sequential
-from ..nn.serialization import apply_model_state, pack_model_state
 from ..obs.profile import maybe_profile
 from ..obs.telemetry import Telemetry, ensure_telemetry
 from ..persist.checkpoint import CheckpointManager, Snapshot
-from ..persist.state import (
-    AGGREGATOR_PREFIX,
-    DELTA_PREFIX,
-    capture_client_states,
-    pack_state_arrays,
-    restore_client_states,
-    rng_state_from_jsonable,
-    rng_state_to_jsonable,
-    shared_fault_model,
-    unpack_state_arrays,
-)
+from ..persist.state import rng_state_from_jsonable, rng_state_to_jsonable
 from ..persist.watchdog import DivergenceWatchdog
-from .aggregation import Aggregator, resolve_aggregator
+from .aggregation import Aggregator
 from .client import Client
+from .coordinator import Coordinator, _resolve_quorum, check_quorum, checksum_problem
 from .executor import ClientExecutor, collect_updates
 from .faults import validate_update
-from .transport import DeliveryGate, Envelope, SimulatedNetwork, payload_checksum
-from .sampling import ClientPool, ParticipationSampler
+from .transport import Envelope, SimulatedNetwork, payload_checksum
+from .sampling import ParticipationSampler
 
 __all__ = ["RoundMetrics", "TrainingHistory", "FederatedServer"]
 
@@ -216,14 +211,7 @@ class TrainingHistory:
         return len(self.rounds)
 
 
-def _resolve_quorum(min_quorum: int | float, num_selected: int) -> int:
-    """Absolute quorum from an int count or a float fraction of selected."""
-    if isinstance(min_quorum, float):
-        return max(1, math.ceil(min_quorum * num_selected))
-    return max(1, min_quorum)
-
-
-class FederatedServer:
+class FederatedServer(Coordinator):
     """Coordinates federated training over a fixed client population.
 
     Parameters
@@ -249,9 +237,6 @@ class FederatedServer:
         the paper's unweighted FedAvg mean.  Stateful rules
         (``"foolsgold"``, noised ``"norm_clip"``) have their cross-round
         state captured in checkpoints and restored on resume.
-    aggregate:
-        Deprecated spelling of ``aggregator`` (bare callable only);
-        emits a :class:`DeprecationWarning`.
     clients_per_round:
         Uniform random sample size per round; ``None`` selects everyone
         (the paper's default simplification).
@@ -318,13 +303,16 @@ class FederatedServer:
         network is byte-identical to ``None``.
     """
 
+    KIND = "train"
+    _SPAN_KEY = "train_span_id"
+    _QUARANTINE_KEY = "quarantined"
+
     def __init__(
         self,
         model: Sequential,
         clients: Sequence[Client],
         test_set: Dataset,
         backdoor_task: BackdoorTask | None = None,
-        aggregate: Callable[[np.ndarray], np.ndarray] | None = None,
         clients_per_round: int | None = None,
         sampler: ParticipationSampler | None = None,
         rng: np.random.Generator | None = None,
@@ -338,21 +326,9 @@ class FederatedServer:
         aggregator: str | Aggregator | Callable | None = None,
         network: "SimulatedNetwork | None" = None,
     ) -> None:
-        if not len(clients):
-            raise ValueError("need at least one client")
         if sampler is not None and clients_per_round is not None:
             raise ValueError(
                 "sampler and clients_per_round are mutually exclusive"
-            )
-        if sampler is not None and sampler.population != len(clients):
-            raise ValueError(
-                f"sampler population {sampler.population} does not match "
-                f"{len(clients)} clients"
-            )
-        if isinstance(clients, ClientPool) and sampler is None:
-            raise ValueError(
-                "a ClientPool population requires a ParticipationSampler "
-                "(anything else would materialize every client)"
             )
         if clients_per_round is not None:
             if not 1 <= clients_per_round <= len(clients):
@@ -360,46 +336,36 @@ class FederatedServer:
                     f"clients_per_round must be in [1, {len(clients)}], "
                     f"got {clients_per_round}"
                 )
-        if isinstance(min_quorum, float):
-            if not 0.0 < min_quorum <= 1.0:
-                raise ValueError(
-                    f"fractional min_quorum must be in (0, 1], got {min_quorum}"
-                )
-        elif min_quorum < 1:
-            raise ValueError(f"min_quorum must be >= 1, got {min_quorum}")
+        check_quorum(min_quorum, "min_quorum")
         if update_retries < 0:
             raise ValueError(f"update_retries must be >= 0, got {update_retries}")
         if max_client_strikes is not None and max_client_strikes < 1:
             raise ValueError(
                 f"max_client_strikes must be >= 1 or None, got {max_client_strikes}"
             )
-        self.model = model
-        self.clients = clients if isinstance(clients, ClientPool) else list(clients)
-        self.test_set = test_set
-        self.backdoor_task = backdoor_task
-        self.aggregator = resolve_aggregator(
-            "FederatedServer", aggregate, aggregator
+        super().__init__(
+            model,
+            clients,
+            test_set,
+            backdoor_task,
+            sampler=sampler,
+            aggregator=aggregator,
+            network=network,
+            max_client_strikes=max_client_strikes,
+            telemetry=ensure_telemetry(telemetry),
+            executor=executor,
         )
         self.clients_per_round = clients_per_round
-        self.sampler = sampler
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.min_quorum = min_quorum
         self.update_retries = update_retries
-        self.max_client_strikes = max_client_strikes
-        self.executor = executor
-        self.telemetry = ensure_telemetry(telemetry)
         self.watchdog = watchdog
         self.profile = bool(profile)
-        self.network = network
-        self.gate = DeliveryGate()
-        self._seq: dict[str, int] = {}  # "update:client_id" -> next seq
-        self.quarantined: set[int] = set()
-        self._strikes: dict[int, int] = {}
 
     @property
-    def aggregate(self):
-        """Deprecated alias: the aggregator in its bare-callable form."""
-        return self.aggregator
+    def quarantined(self) -> set[int]:
+        """Clients the strike ledger excluded from all future selection."""
+        return self.strikes.quarantined
 
     def select_clients(self, round_index: int | None = None) -> list[Client]:
         """The participants of the next round (quarantined excluded).
@@ -415,37 +381,13 @@ class FederatedServer:
         if self.sampler is not None:
             if round_index is None:
                 raise ValueError("sampler-based selection needs a round_index")
-            drawn = self.sampler.draw(round_index)
-            cohort = [
-                client
-                for client in (self.clients[int(i)] for i in drawn)
-                if client.client_id not in self.quarantined
-            ]
-            self.telemetry.event(
-                "fl.cohort_sampled",
-                round=round_index,
-                population=self.sampler.population,
-                drawn=int(drawn.size),
-                cohort=len(cohort),
-            )
-            return cohort
+            return self._draw_cohort(round_index, exclude=self.quarantined)
         pool = [c for c in self.clients if c.client_id not in self.quarantined]
         if self.clients_per_round is None or not pool:
             return pool
         sample_size = min(self.clients_per_round, len(pool))
         chosen = self.rng.choice(len(pool), size=sample_size, replace=False)
         return [pool[i] for i in chosen]
-
-    def _record_strike(self, client_id: int) -> bool:
-        """Count an invalid payload; True when it triggers quarantine."""
-        if self.max_client_strikes is None:
-            return False
-        strikes = self._strikes.get(client_id, 0) + 1
-        self._strikes[client_id] = strikes
-        if strikes >= self.max_client_strikes and client_id not in self.quarantined:
-            self.quarantined.add(client_id)
-            return True
-        return False
 
     def _ship_update(
         self, client_id: int, payload: np.ndarray, round_index: int
@@ -464,7 +406,7 @@ class FederatedServer:
             round_index,
             float(round_index),
             payload,
-            seq=self._take_seq(client_id),
+            seq=self._take_seq("update", client_id),
             checksum=payload_checksum(payload),
         )
         transit = self.network.transmit(
@@ -490,19 +432,7 @@ class FederatedServer:
         if kept is None:
             return None, None
         self.gate.mark_processed(kept)
-        problem = None
-        if (
-            kept.checksum is not None
-            and payload_checksum(kept.payload) != kept.checksum
-        ):
-            problem = "checksum mismatch (corrupted in transit)"
-        return kept.payload, problem
-
-    def _take_seq(self, client_id: int) -> int:
-        key = f"update:{int(client_id)}"
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        return seq
+        return kept.payload, checksum_problem(kept)
 
     def run_round(self, round_index: int) -> RoundMetrics:
         """One full round: select, train locally, validate, aggregate, evaluate."""
@@ -565,14 +495,7 @@ class FederatedServer:
                         client=client.client_id,
                         reason=problem,
                     )
-                    if self._record_strike(client.client_id):
-                        quarantined_now.append(client.client_id)
-                        tel.event(
-                            "fl.quarantine",
-                            client=client.client_id,
-                            strikes=self._strikes[client.client_id],
-                        )
-                        tel.count("fl.quarantines")
+                    self._strike(client.client_id, quarantined_now)
 
             quorum = _resolve_quorum(self.min_quorum, len(participants))
             skipped = len(accepted) < quorum
@@ -600,14 +523,7 @@ class FederatedServer:
                         # the bad aggregate, so "rollback" is a no-op on
                         # the parameters and the round is just skipped
                         diverged = True
-                        self.watchdog.record_rollback()
-                        tel.event(
-                            "watchdog.rollback",
-                            round=round_index,
-                            stage="aggregate",
-                            reason=divergence_reason,
-                        )
-                        tel.count("watchdog.rollbacks")
+                        self._rollback(round_index, "aggregate", divergence_reason)
                     else:
                         self.model.load_flat_parameters(global_params + update)
                         # epoch fence: replays of these updates can
@@ -616,12 +532,7 @@ class FederatedServer:
                             self.gate.mark_aggregated(cid, round_index)
 
             with tel.span("fl.evaluation"):
-                test_acc = test_accuracy(self.model, self.test_set)
-                attack_acc = None
-                if self.backdoor_task is not None:
-                    attack_acc = attack_success_rate(
-                        self.model, self.backdoor_task, self.test_set
-                    )
+                test_acc, attack_acc = self._evaluate()
 
             if self.watchdog is not None and not skipped and not diverged:
                 divergence_reason = self.watchdog.observe_accuracy(test_acc)
@@ -631,20 +542,9 @@ class FederatedServer:
                     # the recorded metrics describe the surviving model
                     diverged = True
                     self.model.load_flat_parameters(global_params)
-                    self.watchdog.record_rollback()
-                    tel.event(
-                        "watchdog.rollback",
-                        round=round_index,
-                        stage="evaluation",
-                        reason=divergence_reason,
-                    )
-                    tel.count("watchdog.rollbacks")
+                    self._rollback(round_index, "evaluation", divergence_reason)
                     with tel.span("fl.evaluation", rolled_back=True):
-                        test_acc = test_accuracy(self.model, self.test_set)
-                        if self.backdoor_task is not None:
-                            attack_acc = attack_success_rate(
-                                self.model, self.backdoor_task, self.test_set
-                            )
+                        test_acc, attack_acc = self._evaluate()
 
             tel.count("fl.rounds")
             tel.count("fl.updates_accepted", len(accepted))
@@ -675,6 +575,23 @@ class FederatedServer:
             diverged=diverged,
             divergence_reason=divergence_reason,
         )
+
+    def _evaluate(self) -> tuple[float, float | None]:
+        """(TA, ASR) of the current global model; ASR only with a task."""
+        test_acc = test_accuracy(self.model, self.test_set)
+        attack_acc = None
+        if self.backdoor_task is not None:
+            attack_acc = attack_success_rate(
+                self.model, self.backdoor_task, self.test_set
+            )
+        return test_acc, attack_acc
+
+    def _rollback(self, round_index: int, stage: str, reason: str) -> None:
+        self.watchdog.record_rollback()
+        self.telemetry.event(
+            "watchdog.rollback", round=round_index, stage=stage, reason=reason
+        )
+        self.telemetry.count("watchdog.rollbacks")
 
     def train(
         self,
@@ -710,33 +627,13 @@ class FederatedServer:
             )
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint manager")
-        tel = self.telemetry
-        history = TrainingHistory()
-        start_round = 0
-        train_span = None
-        if resume:
-            snapshot = checkpoint.load_latest("train")
-            if snapshot is not None:
-                # resume diagnostics go out on the *fresh* cursor, before
-                # restore_checkpoint rewinds it to the snapshot's — the
-                # stream stitcher drops them, keeping the spliced stream
-                # identical to an uninterrupted run's
-                tel.event(
-                    "persist.resume",
-                    step=snapshot.step,
-                    path=snapshot.path,
-                    rejected=[f for f, _ in checkpoint.last_rejected],
-                )
-                history = self.restore_checkpoint(snapshot)
-                start_round = snapshot.step
-                span_id = snapshot.meta.get("train_span_id")
-                if span_id is not None:
-                    train_span = tel.resume_span(
-                        "fl.train", span_id, num_rounds=num_rounds
-                    )
-        if train_span is None:
-            train_span = tel.span("fl.train", num_rounds=num_rounds)
-        with train_span, maybe_profile(telemetry=tel, enabled=self.profile):
+        start_round, train_span, restored = self._resume(
+            checkpoint, resume, "fl.train", num_rounds=num_rounds
+        )
+        history = restored if restored is not None else TrainingHistory()
+        with train_span, maybe_profile(
+            telemetry=self.telemetry, enabled=self.profile
+        ):
             for round_index in range(start_round, num_rounds):
                 history.append(self.run_round(round_index))
                 if (
@@ -767,46 +664,11 @@ class FederatedServer:
         the telemetry cursor is captured, so the event sits below the
         resume boundary and appears exactly once in a stitched stream.
         """
-        if isinstance(self.clients, ClientPool):
-            raise ValueError(
-                "checkpointing a lazily materialized ClientPool is not "
-                "supported: unmaterialized clients have no state to "
-                "capture, so a restore could not be bitwise faithful"
-            )
-        tel = self.telemetry
-        tel.event("persist.checkpoint", round=round_cursor)
-        arrays = pack_model_state(self.model)
-        client_meta, client_arrays = capture_client_states(self.clients)
-        arrays.update(client_arrays)
-        aggregator_meta, aggregator_arrays = pack_state_arrays(
-            self.aggregator.state_dict(), AGGREGATOR_PREFIX
-        )
-        arrays.update(aggregator_arrays)
-        meta = {
-            "round_cursor": int(round_cursor),
-            "aggregator": aggregator_meta,
-            "transport": {
-                "gate": self.gate.state_dict(),
-                "seq": {str(k): int(v) for k, v in self._seq.items()},
-            },
-            "server_rng": rng_state_to_jsonable(self.rng),
-            "quarantined": sorted(int(c) for c in self.quarantined),
-            "strikes": {str(k): int(v) for k, v in self._strikes.items()},
-            "clients": client_meta,
-            "history": history.to_jsonable(),
-            "telemetry": tel.state_dict(),
-            "train_span_id": (
-                tel.current_span.span_id
-                if tel.current_span is not None
-                else None
-            ),
-        }
-        fault_model = self._shared_fault_model()
-        if fault_model is not None:
-            meta["fault_model"] = fault_model.state_dict()
+        arrays, meta = self._pack_state(round_cursor, history)
+        meta["server_rng"] = rng_state_to_jsonable(self.rng)
         if self.watchdog is not None:
             meta["watchdog"] = self.watchdog.state_dict()
-        return checkpoint.save("train", round_cursor, arrays, meta)
+        return checkpoint.save(self.KIND, round_cursor, arrays, meta)
 
     def restore_checkpoint(self, snapshot: Snapshot) -> TrainingHistory:
         """Apply a ``"train"`` snapshot to this (freshly rebuilt) server.
@@ -817,37 +679,9 @@ class FederatedServer:
         restoring stay on the pre-restore (dropped) side of the stream.
         """
         meta = snapshot.meta
-        model_arrays = {
-            name: value
-            for name, value in snapshot.arrays.items()
-            if not name.startswith((DELTA_PREFIX, AGGREGATOR_PREFIX))
-        }
-        apply_model_state(self.model, model_arrays)
-        if "aggregator" in meta:
-            self.aggregator.load_state_dict(
-                unpack_state_arrays(meta["aggregator"], snapshot.arrays)
-            )
         rng_state_from_jsonable(self.rng, meta["server_rng"])
-        transport_meta = meta.get("transport")
-        if transport_meta is not None:
-            self.gate.load_state_dict(transport_meta["gate"])
-            self._seq = {
-                str(k): int(v) for k, v in transport_meta["seq"].items()
-            }
-        self.quarantined = {int(c) for c in meta["quarantined"]}
-        self._strikes = {int(k): int(v) for k, v in meta["strikes"].items()}
-        restore_client_states(self.clients, meta["clients"], snapshot.arrays)
-        fault_model = self._shared_fault_model()
-        if fault_model is not None and "fault_model" in meta:
-            fault_model.load_state_dict(meta["fault_model"])
         if self.watchdog is not None and "watchdog" in meta:
             self.watchdog.load_state_dict(meta["watchdog"])
         history = TrainingHistory.from_jsonable(meta["history"])
-        self.telemetry.load_state_dict(meta.get("telemetry"))
+        self._restore_state(snapshot)
         return history
-
-    def _shared_fault_model(self):
-        """The population's shared fault schedule, if clients carry one."""
-        if isinstance(self.clients, ClientPool):
-            return shared_fault_model(self.clients.cached())
-        return shared_fault_model(self.clients)

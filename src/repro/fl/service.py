@@ -54,10 +54,15 @@ deterministic across executor engines):
   re-enter via the existing backoff re-solicitation.  A transparent
   (lossless) network leaves the run byte-identical to ``network=None``.
 
-Every transition lands on the telemetry stream (names registered in
-:mod:`repro.obs.schema`), and the full service state — clock cursor,
-strikes, both quarantine ledgers, trust EWMAs, backoff ledger, pending
-queue — checkpoints and resumes like the blocking server does.
+:meth:`DefenseService.run_round` runs these as named phases — solicit,
+collect, ingest, admit, commit, trust and cleanse, late, evaluate.  The
+books the service shares with the blocking server (population checks,
+aggregator, strike ledger, sequence counter and delivery gate, checksum
+verdict, checkpoint core, resume prologue) live in
+:class:`~repro.fl.coordinator.Coordinator`; the service adds its clock,
+backoff, trust and pending-queue state on top.  Every transition lands
+on the telemetry stream (names registered in :mod:`repro.obs.schema`),
+and the full service state checkpoints and resumes like the server's.
 """
 
 from __future__ import annotations
@@ -70,28 +75,19 @@ from ..attacks.poison import BackdoorTask
 from ..data.dataset import Dataset
 from ..eval.metrics import attack_success_rate, test_accuracy
 from ..nn.layers import Sequential
-from ..nn.serialization import apply_model_state, pack_model_state
+from ..nn.serialization import apply_model_state
 from ..obs.context import RunContext, current_context
 from ..obs.metrics import percentile_summary
 from ..persist.checkpoint import CheckpointManager, Snapshot
-from ..persist.state import (
-    AGGREGATOR_PREFIX,
-    DELTA_PREFIX,
-    capture_client_states,
-    pack_state_arrays,
-    restore_client_states,
-    shared_fault_model,
-    unpack_state_arrays,
-)
-from .aggregation import Aggregator, resolve_aggregator
+from ..persist.state import model_arrays
+from .aggregation import Aggregator
+from .coordinator import Coordinator, _resolve_quorum, check_quorum, checksum_problem
 from .executor import dispatch_updates
 from .faults import validate_update
-from .sampling import ClientPool, ParticipationSampler
-from .server import _resolve_quorum
+from .sampling import ParticipationSampler
 from .traffic import TrafficPattern
 from .transport import (
     HELD_PREFIX,
-    DeliveryGate,
     Envelope,
     RoundLedger,
     SimulatedNetwork,
@@ -101,7 +97,6 @@ from .trust import TrustConfig, TrustTracker
 
 __all__ = [
     "ServiceConfig",
-    "ReportEnvelope",
     "RoundOutcome",
     "ServiceHistory",
     "DefenseService",
@@ -200,11 +195,7 @@ class ServiceConfig:
             raise ValueError(f"round_deadline must be > 0, got {round_deadline}")
         if round_interval is not None and round_interval <= 0:
             raise ValueError(f"round_interval must be > 0, got {round_interval}")
-        if isinstance(quorum, float):
-            if not 0.0 < quorum <= 1.0:
-                raise ValueError(f"fractional quorum must be in (0, 1], got {quorum}")
-        elif quorum < 1:
-            raise ValueError(f"quorum must be >= 1, got {quorum}")
+        check_quorum(quorum, "quorum")
         if degraded_after < 1:
             raise ValueError(f"degraded_after must be >= 1, got {degraded_after}")
         if late_policy not in ("defer", "drop"):
@@ -268,14 +259,6 @@ class ServiceConfig:
             f"quorum={self.quorum!r}, late={self.late_policy!r}, "
             f"backpressure={self.backpressure!r})"
         )
-
-
-# One client report on the simulated wire.  Since the transport layer,
-# this IS the wire message type: the historic positional constructor
-# (client_id, solicited_round, arrival, payload, probation) is
-# unchanged, with the message identity (seq, checksum, kind) as
-# keyword-only additions.
-ReportEnvelope = Envelope
 
 
 class RoundOutcome:
@@ -529,7 +512,7 @@ class ServiceHistory:
         return len(self.rounds)
 
 
-class DefenseService:
+class DefenseService(Coordinator):
     """Long-running deadline-scheduled federated defense coordinator.
 
     Parameters
@@ -553,9 +536,6 @@ class DefenseService:
         instance, or a bare callable over the accepted delta matrix
         (default FedAvg).  Stateful rules have their cross-round state
         checkpointed alongside the service state.
-    aggregate:
-        Deprecated spelling of ``aggregator`` (bare callable only);
-        emits a :class:`DeprecationWarning`.
     traffic:
         A :class:`~repro.fl.traffic.TrafficPattern` adding arrival
         delays on top of fault-drawn straggler delays; ``None`` means
@@ -585,6 +565,13 @@ class DefenseService:
         the ambient context.
     """
 
+    KIND = "service"
+    _SPAN_KEY = "service_span_id"
+    _QUARANTINE_KEY = "strike_quarantined"
+    _PERSIST_ATTRS = {"kind": "service"}
+    # snapshot arrays that are neither model parameters nor shared state
+    _OWN_PREFIXES = (PENDING_PREFIX, HELD_PREFIX)
+
     def __init__(
         self,
         model: Sequential,
@@ -592,7 +579,6 @@ class DefenseService:
         test_set: Dataset,
         config: ServiceConfig | None = None,
         backdoor_task: BackdoorTask | None = None,
-        aggregate: Callable[[np.ndarray], np.ndarray] | None = None,
         traffic: TrafficPattern | None = None,
         network: SimulatedNetwork | None = None,
         sampler: ParticipationSampler | None = None,
@@ -601,38 +587,27 @@ class DefenseService:
         aggregator: str | Aggregator | Callable | None = None,
         metrics=None,
     ) -> None:
-        if not len(clients):
-            raise ValueError("need at least one client")
-        if sampler is not None and sampler.population != len(clients):
-            raise ValueError(
-                f"sampler population {sampler.population} does not match "
-                f"{len(clients)} clients"
-            )
-        if isinstance(clients, ClientPool) and sampler is None:
-            raise ValueError(
-                "a ClientPool population requires a ParticipationSampler "
-                "(anything else would materialize every client)"
-            )
-        self.model = model
-        self.clients = clients if isinstance(clients, ClientPool) else list(clients)
-        self.sampler = sampler
-        self.test_set = test_set
         self.config = config if config is not None else ServiceConfig()
-        self.backdoor_task = backdoor_task
-        self.aggregator = resolve_aggregator(
-            "DefenseService", aggregate, aggregator
+        ctx = context if context is not None else current_context()
+        super().__init__(
+            model,
+            clients,
+            test_set,
+            backdoor_task,
+            sampler=sampler,
+            aggregator=aggregator,
+            network=network,
+            max_client_strikes=self.config.max_client_strikes,
+            telemetry=ctx.telemetry,
+            executor=ctx.executor,
         )
+        self.context = ctx
         self.traffic = traffic
-        self.network = network
         self.accuracy_fn = (
             accuracy_fn
             if accuracy_fn is not None
             else (lambda m: test_accuracy(m, test_set))
         )
-        ctx = context if context is not None else current_context()
-        self.context = ctx
-        self.telemetry = ctx.telemetry
-        self.executor = ctx.executor
         self.metrics = metrics
         if metrics is not None:
             # the aggregator folds the stream online, as an ordinary
@@ -649,12 +624,8 @@ class DefenseService:
 
         self.trust = TrustTracker(self.config.trust)
         self.history = ServiceHistory()
-        self.gate = DeliveryGate()
-        self._seq: dict[str, int] = {}  # "kind:client_id" -> next seq
-        self.pending: list[ReportEnvelope] = []
-        self.strike_quarantined: set[int] = set()
+        self.pending: list[Envelope] = []
         self.trust_quarantined: dict[int, int] = {}  # id -> round entered
-        self._strikes: dict[int, int] = {}
         self._misses: dict[int, int] = {}
         self._backoff_until: dict[int, int] = {}
         self._consecutive_failures = 0
@@ -663,9 +634,9 @@ class DefenseService:
         self._committed_rounds = 0
 
     @property
-    def aggregate(self):
-        """Deprecated alias: the aggregator in its bare-callable form."""
-        return self.aggregator
+    def strike_quarantined(self) -> set[int]:
+        """Clients permanently quarantined for invalid payloads."""
+        return self.strikes.quarantined
 
     # -- selection -----------------------------------------------------
 
@@ -679,17 +650,16 @@ class DefenseService:
         """
         if self.sampler is None:
             return self.clients
-        drawn = self.sampler.draw(round_index)
-        cohort = [self.clients[int(i)] for i in drawn]
-        if announce:
-            self.telemetry.event(
-                "fl.cohort_sampled",
-                round=round_index,
-                population=self.sampler.population,
-                drawn=int(drawn.size),
-                cohort=len(cohort),
-            )
-        return cohort
+        return self._draw_cohort(round_index, announce=announce)
+
+    def _active_clients(self, round_index: int) -> list:
+        """This round's candidates outside both quarantines."""
+        return [
+            c
+            for c in self._candidates(round_index)
+            if c.client_id not in self.strike_quarantined
+            and c.client_id not in self.trust_quarantined
+        ]
 
     def _select(self, round_index: int) -> tuple[list, list]:
         """(participants, probation) for a round, in stable client order."""
@@ -710,22 +680,6 @@ class DefenseService:
                 continue
             participants.append(client)
         return participants, probation
-
-    # -- strike path (PR 1 machinery, service-side ledger) -------------
-
-    def _record_strike(self, client_id: int) -> bool:
-        """Count an invalid payload; True when it trips quarantine."""
-        if self.config.max_client_strikes is None:
-            return False
-        strikes = self._strikes.get(client_id, 0) + 1
-        self._strikes[client_id] = strikes
-        if (
-            strikes >= self.config.max_client_strikes
-            and client_id not in self.strike_quarantined
-        ):
-            self.strike_quarantined.add(client_id)
-            return True
-        return False
 
     # -- backoff ledger ------------------------------------------------
 
@@ -751,33 +705,39 @@ class DefenseService:
 
     # -- transport -----------------------------------------------------
 
-    def _take_seq(self, kind: str, client_id: int) -> int:
-        """Next per-sender sequence number for one wire message."""
-        key = f"{kind}:{int(client_id)}"
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        return seq
+    def _no_response(
+        self, ledger: RoundLedger, client_id: int, round_index: int, reason: str
+    ) -> None:
+        ledger.no_response.append((client_id, reason))
+        self.telemetry.event(
+            "service.no_response", client=client_id, round=round_index, reason=reason
+        )
 
-    def _post_update(
+    def _send_update(
         self,
-        env: Envelope,
-        *,
+        client_id: int,
         round_index: int,
         sent_at: float,
+        payload: np.ndarray,
+        is_probation: bool,
+        plan,
         ledger: RoundLedger,
-        duplicate_lag: float | None = None,
-    ) -> tuple[list[Envelope], list[str]]:
-        """Send one update (plus its planned retransmit) onto the wire.
+    ) -> list[Envelope]:
+        """Sequence, stamp and post one update; the copies that landed.
 
-        Returns the delivery copies and the per-attempt transit fates.
-        ``duplicate_lag`` is the client-level ``duplicate`` fault: the
-        same message (same seq) is transmitted a second time that much
-        later — the delivery gate, not the sender, keeps it from
-        counting twice.
+        A planned ``duplicate`` fault transmits the same message (same
+        seq) a second time ``plan.duplicate_lag`` later — the delivery
+        gate, not the sender, keeps it from counting twice.  When no
+        copy lands the server hears silence: a no-response.
         """
+        env = Envelope(
+            client_id, round_index, sent_at, payload, is_probation,
+            seq=self._take_seq("update", client_id),
+            checksum=payload_checksum(payload),
+        )
         sends = [(float(sent_at), 0)]
-        if duplicate_lag is not None:
-            sends.append((float(sent_at) + float(duplicate_lag), 1))
+        if plan is not None and plan.duplicate:
+            sends.append((float(sent_at) + float(plan.duplicate_lag), 1))
         copies: list[Envelope] = []
         fates: list[str] = []
         for at, attempt in sends:
@@ -797,32 +757,26 @@ class DefenseService:
             )
             copies.extend(transit.deliveries)
             fates.append(transit.fate)
-        return copies, fates
-
-    def _report_undelivered(
-        self,
-        client_id: int,
-        round_index: int,
-        fates: Sequence[str],
-        no_response: list[tuple[int, str]],
-    ) -> None:
-        """No copy of a client's update landed — to the server, silence."""
-        reason = (
-            "update held behind partition"
-            if "held" in fates
-            else "update lost in transit"
-        )
-        no_response.append((client_id, reason))
-        self.telemetry.event(
-            "service.no_response",
-            client=client_id,
-            round=round_index,
-            reason=reason,
-        )
+        if not copies:
+            self._no_response(
+                ledger,
+                client_id,
+                round_index,
+                "update held behind partition"
+                if "held" in fates
+                else "update lost in transit",
+            )
+        return copies
 
     # -- one round -----------------------------------------------------
 
     def run_round(self, round_index: int) -> RoundOutcome:
+        """One round on the simulated clock, phase by phase.
+
+        solicit (downlink) → collect (train, uplink) → ingest (dedup,
+        fence) → admit (quorum-or-deadline) → commit (or degrade) →
+        trust and cleanse → late (defer/shed, backoff) → evaluate.
+        """
         cfg = self.config
         tel = self.telemetry
         start = round_index * cfg.round_interval
@@ -841,9 +795,6 @@ class DefenseService:
                 else []
             )
             participants, probation = self._select(round_index)
-            solicited = [(c, False) for c in participants] + [
-                (c, True) for c in probation
-            ]
             tel.event(
                 "service.dispatch",
                 round=round_index,
@@ -853,447 +804,35 @@ class DefenseService:
                 degraded=self.degraded,
             )
             global_params = self.model.flat_parameters()
-            param_dim = int(global_params.size)
-
-            cohort_ids = [c.client_id for c, _ in solicited]
-            traffic_delays = (
-                self.traffic.delays(round_index, cohort_ids)
-                if self.traffic is not None and cohort_ids
-                else {}
-            )
-
-            no_response = ledger.no_response
-
-            # downlink: solicitations travel the wire too.  A client
-            # whose solicitation is lost (or who is partitioned) never
-            # hears about the round — the miss/backoff ledger is the
-            # at-least-once re-solicitation path.  Solicits are never
-            # held: re-soliciting later is the retry.
-            solicit_arrival: dict[int, float] = {}
-            unreachable: dict[int, str] = {}
-            if self.network is not None and not self.network.transparent:
-                for client, is_probation in solicited:
-                    cid = client.client_id
-                    solicit = Envelope(
-                        cid,
-                        round_index,
-                        start,
-                        None,
-                        is_probation,
-                        seq=self._take_seq("solicit", cid),
-                        kind="solicit",
-                    )
-                    transit = self.network.transmit(
-                        solicit,
-                        round_index=round_index,
-                        sent_at=start,
-                        telemetry=tel,
-                        ledger=ledger,
-                        hold_partitioned=False,
-                    )
-                    if transit.fate == "delivered":
-                        solicit_arrival[cid] = min(
-                            d.arrival for d in transit.deliveries
-                        )
-                    elif transit.fate == "lost":
-                        unreachable[cid] = "solicitation lost in transit"
-                    else:
-                        unreachable[cid] = "client unreachable (partitioned)"
-
-            # fault plans resolve coordinator-side in stable client order;
-            # the drawn delay plus the traffic delay *places* the send
-            # time instead of erasing the response
-            to_train: list[tuple] = []  # (client, plan, sent_at, probation)
-            fresh: list[ReportEnvelope] = []
-            for client, is_probation in solicited:
-                cid = client.client_id
-                if cid in unreachable:
-                    no_response.append((cid, unreachable[cid]))
-                    tel.event(
-                        "service.no_response",
-                        client=cid,
-                        round=round_index,
-                        reason=unreachable[cid],
-                    )
-                    continue
-                planner = getattr(client, "plan_local_update", None)
-                plan = planner(param_dim) if planner is not None else None
-                if plan is not None and plan.action == "dropout":
-                    no_response.append((cid, plan.error))
-                    tel.event(
-                        "service.no_response",
-                        client=cid,
-                        round=round_index,
-                        reason=plan.error,
-                    )
-                    continue
-                delay = plan.delay if plan is not None else 0.0
-                sent_at = (
-                    solicit_arrival.get(cid, start)
-                    + delay
-                    + traffic_delays.get(cid, 0.0)
-                )
-                if plan is not None and plan.action == "stale":
-                    payload = client._last_delta.copy()
-                    env = Envelope(
-                        cid, round_index, sent_at, payload, is_probation,
-                        seq=self._take_seq("update", cid),
-                        checksum=payload_checksum(payload),
-                    )
-                    copies, fates = self._post_update(
-                        env,
-                        round_index=round_index,
-                        sent_at=sent_at,
-                        ledger=ledger,
-                        duplicate_lag=(
-                            plan.duplicate_lag if plan.duplicate else None
-                        ),
-                    )
-                    fresh.extend(copies)
-                    if not copies:
-                        self._report_undelivered(
-                            cid, round_index, fates, no_response
-                        )
-                else:
-                    to_train.append((client, plan, sent_at, is_probation))
-
-            results = dispatch_updates(
-                self.executor,
-                [entry[0] for entry in to_train],
-                self.model,
-                global_params,
-                round_index=round_index,
-                telemetry=tel,
-            )
-            for (client, plan, sent_at, is_probation), (status, value) in zip(
-                to_train, results
-            ):
-                cid = client.client_id
-                if status != "ok":
-                    no_response.append((cid, value))
-                    tel.event(
-                        "service.no_response",
-                        client=cid,
-                        round=round_index,
-                        reason=value,
-                    )
-                    continue
-                delta = value
-                if plan is not None:
-                    delta = client.finish_local_update(plan, delta)
-                env = Envelope(
-                    cid, round_index, sent_at, delta, is_probation,
-                    seq=self._take_seq("update", cid),
-                    checksum=payload_checksum(delta),
-                )
-                copies, fates = self._post_update(
-                    env,
-                    round_index=round_index,
-                    sent_at=sent_at,
-                    ledger=ledger,
-                    duplicate_lag=(
-                        plan.duplicate_lag
-                        if plan is not None and plan.duplicate
-                        else None
-                    ),
-                )
-                fresh.extend(copies)
-                if not copies:
-                    self._report_undelivered(
-                        cid, round_index, fates, no_response
-                    )
-
-            # deferred reports (and partition-released ones) join the
-            # admission pass at round start
-            carried = [
-                env.clone(arrival=max(env.arrival, start))
-                for env in self.pending
+            solicited = [(c, False) for c in participants] + [
+                (c, True) for c in probation
             ]
-            self.pending = []
-            candidates = sorted(
-                released + carried + fresh,
-                key=lambda e: (
-                    e.arrival,
-                    e.client_id,
-                    e.solicited_round,
-                    -1 if e.seq is None else e.seq,
-                ),
+            arrivals, unreachable = self._solicit(round_index, start, solicited, ledger)
+            fresh = self._collect(
+                round_index, start, solicited, arrivals, unreachable,
+                global_params, ledger,
             )
-            # idempotent ingest: the delivery gate drops retransmits of
-            # already-processed message ids and epoch-fences stale-round
-            # replays, then at most one envelope per client survives
-            # (an in-round copy of the *same* message is a dedup hit;
-            # a different message superseded by an earlier arrival is
-            # the historic silent collapse)
-            kept: dict[int, ReportEnvelope] = {}
-            unique: list[ReportEnvelope] = []
-            for env in candidates:
-                verdict = self.gate.check(env)
-                if verdict == "duplicate":
-                    ledger.dedup.append(env.client_id)
-                    tel.event(
-                        "net.dedup",
-                        client=env.client_id,
-                        round=round_index,
-                        solicited_round=env.solicited_round,
-                        seq=env.seq,
-                    )
-                    continue
-                if verdict == "stale":
-                    ledger.fenced.append(env.client_id)
-                    tel.event(
-                        "net.fenced",
-                        client=env.client_id,
-                        round=round_index,
-                        solicited_round=env.solicited_round,
-                        seq=env.seq,
-                        fence=self.gate.fence_round(env.client_id),
-                    )
-                    continue
-                first = kept.get(env.client_id)
-                if first is not None:
-                    if env.seq is not None and env.seq == first.seq:
-                        ledger.dedup.append(env.client_id)
-                        tel.event(
-                            "net.dedup",
-                            client=env.client_id,
-                            round=round_index,
-                            solicited_round=env.solicited_round,
-                            seq=env.seq,
-                        )
-                    continue
-                kept[env.client_id] = env
-                unique.append(env)
-
-            # admission in arrival order; commit on quorum-or-deadline.
-            # A message id is marked processed only on terminal
-            # consumption (admitted / probation-scored / struck
-            # invalid); deferred, shed or rejected copies stay unmarked
-            # so an at-least-once retransmit gets its second chance.
+            unique = self._ingest(round_index, start, released, fresh, ledger)
             quorum = _resolve_quorum(cfg.quorum, len(participants))
+            commit_time, overflow, strike_quarantined_now = self._admit(
+                round_index, unique, quorum, deadline_at, global_params.size, ledger
+            )
             accepted_env = ledger.accepted
-            probation_env = ledger.probation
-            invalid = ledger.invalid
-            strike_quarantined_now: list[int] = []
-            overflow: list[ReportEnvelope] = []
-            commit_time: float | None = None
-            for env in unique:
-                if env.arrival > deadline_at or commit_time is not None:
-                    overflow.append(env)
-                    continue
-                problem = None
-                if (
-                    env.checksum is not None
-                    and payload_checksum(env.payload) != env.checksum
-                ):
-                    problem = "checksum mismatch (corrupted in transit)"
-                if problem is None:
-                    problem = validate_update(env.payload, param_dim)
-                if problem is not None:
-                    self.gate.mark_processed(env)
-                    invalid.append((env.client_id, problem))
-                    tel.event(
-                        "service.report_invalid",
-                        client=env.client_id,
-                        round=round_index,
-                        reason=problem,
-                    )
-                    self._clear_miss(env.client_id)  # it did respond in time
-                    if self._record_strike(env.client_id):
-                        strike_quarantined_now.append(env.client_id)
-                        tel.event(
-                            "fl.quarantine",
-                            client=env.client_id,
-                            strikes=self._strikes[env.client_id],
-                        )
-                        tel.count("fl.quarantines")
-                    continue
-                self._clear_miss(env.client_id)
-                self.gate.mark_processed(env)
-                if env.probation:
-                    probation_env.append(env)
-                else:
-                    accepted_env.append(env)
-                    if len(accepted_env) == quorum:
-                        commit_time = env.arrival
             quorum_met = len(accepted_env) >= quorum
             if commit_time is None:
                 commit_time = deadline_at
             latency = commit_time - start
-
-            # commit / degraded-mode transitions
-            entered_degraded = False
-            exited_degraded = False
-            if quorum_met:
-                if self.degraded:
-                    self.degraded = False
-                    exited_degraded = True
-                    tel.event(
-                        "service.recovered",
-                        round=round_index,
-                        failures=self._consecutive_failures,
-                    )
-                self._consecutive_failures = 0
-                update = self.aggregator.aggregate(
-                    np.stack([env.payload for env in accepted_env]),
-                    client_ids=[env.client_id for env in accepted_env],
-                    round_index=round_index,
-                    telemetry=tel,
-                )
-                self.model.load_flat_parameters(global_params + update)
-                self._committed_rounds += 1
-                # epoch fence: these (client, round) updates are now in
-                # the aggregate — any replayed copy claiming this round
-                # or an earlier one is stale and can never land again
-                for env in accepted_env:
-                    self.gate.mark_aggregated(env.client_id, env.solicited_round)
-            else:
-                self._consecutive_failures += 1
-                tel.event(
-                    "service.quorum_failed",
-                    round=round_index,
-                    accepted=len(accepted_env),
-                    quorum=quorum,
-                    consecutive=self._consecutive_failures,
-                )
-                tel.count("service.rounds_quorum_failed")
-                if not self.degraded and self._should_degrade():
-                    self.degraded = True
-                    entered_degraded = True
-                    self._enter_degraded(round_index)
-
-            # online trust: score the aggregated cohort, then probation
-            # deltas against the same (trusted) reference
-            trust_quarantined_now: list[int] = []
-            trust_restored_now: list[int] = []
-            cohort_trust: float | None = None
-            if cfg.trust_enabled:
-                scored_env = accepted_env + probation_env
-                round_scores = self.trust.score_round(
-                    [env.client_id for env in scored_env],
-                    [env.payload for env in scored_env],
-                    num_reference=len(accepted_env),
-                )
-                for cid in sorted(round_scores):
-                    tel.event(
-                        "trust.score",
-                        client=cid,
-                        round=round_index,
-                        score=round_scores[cid],
-                        trust=self.trust.trust(cid),
-                        probation=cid in self.trust_quarantined,
-                    )
-                already = self.strike_quarantined | set(self.trust_quarantined)
-                for cid in self.trust.quarantine_candidates(exclude=already):
-                    self.trust_quarantined[cid] = round_index
-                    trust_quarantined_now.append(cid)
-                    tel.event(
-                        "trust.quarantine",
-                        client=cid,
-                        round=round_index,
-                        trust=self.trust.trust(cid),
-                    )
-                    tel.count("trust.quarantines")
-                probation_ids = [
-                    env.client_id
-                    for env in probation_env
-                    if env.client_id in round_scores
-                ]
-                for cid in self.trust.recovered(probation_ids):
-                    self.trust_quarantined.pop(cid, None)
-                    self._clear_miss(cid)
-                    trust_restored_now.append(cid)
-                    tel.event(
-                        "trust.restore",
-                        client=cid,
-                        round=round_index,
-                        trust=self.trust.trust(cid),
-                    )
-                    tel.count("trust.restores")
-                active_ids = [
-                    c.client_id
-                    for c in self._candidates(round_index)
-                    if c.client_id not in self.strike_quarantined
-                    and c.client_id not in self.trust_quarantined
-                ]
-                cohort_trust = self.trust.cohort_trust(active_ids)
-
-            # cohort-level dip -> bounded incremental cleanse mid-stream
-            cleansed = False
-            if (
-                cfg.cleanse_threshold is not None
-                and quorum_met
-                and cohort_trust is not None
-                and cohort_trust < cfg.cleanse_threshold
-                and (
-                    self._last_cleanse_round is None
-                    or round_index - self._last_cleanse_round > cfg.cleanse_cooldown
-                )
-            ):
-                cleansed = self._run_cleanse(round_index, cohort_trust)
-
-            # late handling: policy + bounded queue, stable client order
-            late = ledger.late
-            deferred = ledger.deferred
-            shed = ledger.shed
-            rejected = ledger.rejected
-            for env in sorted(overflow, key=lambda e: (e.client_id, e.solicited_round)):
-                cid = env.client_id
-                late.append(cid)
-                tel.event(
-                    "service.report_late",
-                    client=cid,
-                    round=round_index,
-                    solicited_round=env.solicited_round,
-                    arrival=env.arrival,
-                    deadline=deadline_at,
-                )
-                if env.solicited_round == round_index and not env.probation:
-                    self._record_miss(cid, round_index, "late")
-                if (
-                    cfg.late_policy != "defer"
-                    or env.probation
-                    or env.solicited_round != round_index
-                ):
-                    # drop policy, probation stragglers, and reports that
-                    # already had their second chance all expire here
-                    continue
-                if len(self.pending) >= cfg.max_pending:
-                    if cfg.backpressure == "shed_oldest":
-                        oldest = self.pending.pop(0)
-                        shed.append(oldest.client_id)
-                        tel.event(
-                            "service.report_shed",
-                            client=oldest.client_id,
-                            round=round_index,
-                            solicited_round=oldest.solicited_round,
-                        )
-                        tel.count("service.reports_shed")
-                    else:
-                        rejected.append(cid)
-                        tel.event(
-                            "service.report_rejected",
-                            client=cid,
-                            round=round_index,
-                        )
-                        tel.count("service.reports_rejected")
-                        continue
-                self.pending.append(env)
-                deferred.append(cid)
-            for cid, reason in no_response:
-                if cid not in {c.client_id for c in probation}:
-                    self._record_miss(cid, round_index, "no_response")
-
-            # periodic evaluation on the (possibly frozen) served model
-            test_acc: float | None = None
-            attack_acc: float | None = None
-            if cfg.eval_every and (round_index + 1) % cfg.eval_every == 0:
-                with tel.span("service.evaluation", round=round_index):
-                    test_acc = test_accuracy(self.model, self.test_set)
-                    if self.backdoor_task is not None:
-                        attack_acc = attack_success_rate(
-                            self.model, self.backdoor_task, self.test_set
-                        )
+            entered_degraded, exited_degraded = self._commit(
+                round_index, quorum, quorum_met, global_params, accepted_env
+            )
+            trust_quarantined_now, trust_restored_now, cohort_trust = (
+                self._score_trust(round_index, ledger)
+                if cfg.trust_enabled
+                else ([], [], None)
+            )
+            cleansed = self._maybe_cleanse(round_index, quorum_met, cohort_trust)
+            self._late(round_index, overflow, deadline_at, probation, ledger)
+            test_acc, attack_acc = self._evaluate(round_index)
 
             tel.record_span(
                 "service.commit_latency",
@@ -1329,12 +868,12 @@ class DefenseService:
             num_solicited=len(participants),
             num_probation=len(probation),
             accepted=[env.client_id for env in accepted_env],
-            invalid=invalid,
-            no_response=no_response,
-            late=late,
-            deferred=deferred,
-            shed=shed,
-            rejected=rejected,
+            invalid=ledger.invalid,
+            no_response=ledger.no_response,
+            late=ledger.late,
+            deferred=ledger.deferred,
+            shed=ledger.shed,
+            rejected=ledger.rejected,
             lost=ledger.lost,
             dedup=ledger.dedup,
             fenced=ledger.fenced,
@@ -1357,6 +896,426 @@ class DefenseService:
             test_acc=test_acc,
             attack_acc=attack_acc,
         )
+
+    def _solicit(
+        self, round_index: int, start: float, solicited: list, ledger: RoundLedger
+    ) -> tuple[dict[int, float], dict[int, str]]:
+        """Downlink: ``(arrival time, unreachable reason)`` per client id.
+
+        Solicitations travel the wire too.  A client whose solicitation
+        is lost (or who is partitioned) never hears about the round —
+        the miss/backoff ledger is the at-least-once re-solicitation
+        path.  Solicits are never held: re-soliciting later is the retry.
+        """
+        arrivals: dict[int, float] = {}
+        unreachable: dict[int, str] = {}
+        if self.network is None or self.network.transparent:
+            return arrivals, unreachable
+        for client, is_probation in solicited:
+            cid = client.client_id
+            solicit = Envelope(
+                cid,
+                round_index,
+                start,
+                None,
+                is_probation,
+                seq=self._take_seq("solicit", cid),
+                kind="solicit",
+            )
+            transit = self.network.transmit(
+                solicit,
+                round_index=round_index,
+                sent_at=start,
+                telemetry=self.telemetry,
+                ledger=ledger,
+                hold_partitioned=False,
+            )
+            if transit.fate == "delivered":
+                arrivals[cid] = min(d.arrival for d in transit.deliveries)
+            elif transit.fate == "lost":
+                unreachable[cid] = "solicitation lost in transit"
+            else:
+                unreachable[cid] = "client unreachable (partitioned)"
+        return arrivals, unreachable
+
+    def _collect(
+        self,
+        round_index: int,
+        start: float,
+        solicited: list,
+        arrivals: dict[int, float],
+        unreachable: dict[int, str],
+        global_params: np.ndarray,
+        ledger: RoundLedger,
+    ) -> list[Envelope]:
+        """Train the reachable clients and post their updates uplink.
+
+        Fault plans resolve coordinator-side in stable client order; the
+        drawn delay plus the traffic delay *places* the send time
+        instead of erasing the response.  Returns the copies that landed.
+        """
+        param_dim = int(global_params.size)
+        cohort_ids = [c.client_id for c, _ in solicited]
+        traffic_delays = (
+            self.traffic.delays(round_index, cohort_ids)
+            if self.traffic is not None and cohort_ids
+            else {}
+        )
+        to_train: list[tuple] = []  # (client, plan, sent_at, probation)
+        fresh: list[Envelope] = []
+        for client, is_probation in solicited:
+            cid = client.client_id
+            if cid in unreachable:
+                self._no_response(ledger, cid, round_index, unreachable[cid])
+                continue
+            planner = getattr(client, "plan_local_update", None)
+            plan = planner(param_dim) if planner is not None else None
+            if plan is not None and plan.action == "dropout":
+                self._no_response(ledger, cid, round_index, plan.error)
+                continue
+            delay = plan.delay if plan is not None else 0.0
+            sent_at = arrivals.get(cid, start) + delay + traffic_delays.get(cid, 0.0)
+            if plan is not None and plan.action == "stale":
+                fresh.extend(self._send_update(
+                    cid, round_index, sent_at, client._last_delta.copy(),
+                    is_probation, plan, ledger,
+                ))
+            else:
+                to_train.append((client, plan, sent_at, is_probation))
+
+        results = dispatch_updates(
+            self.executor,
+            [entry[0] for entry in to_train],
+            self.model,
+            global_params,
+            round_index=round_index,
+            telemetry=self.telemetry,
+        )
+        for (client, plan, sent_at, is_probation), (status, value) in zip(
+            to_train, results
+        ):
+            cid = client.client_id
+            if status != "ok":
+                self._no_response(ledger, cid, round_index, value)
+                continue
+            delta = value
+            if plan is not None:
+                delta = client.finish_local_update(plan, delta)
+            fresh.extend(self._send_update(
+                cid, round_index, sent_at, delta, is_probation, plan, ledger
+            ))
+        return fresh
+
+    def _ingest(
+        self,
+        round_index: int,
+        start: float,
+        released: list[Envelope],
+        fresh: list[Envelope],
+        ledger: RoundLedger,
+    ) -> list[Envelope]:
+        """Idempotent ingest: at most one envelope per client, arrival order.
+
+        Deferred reports (and partition-released ones) join the
+        admission pass at round start.  The delivery gate drops
+        retransmits of already-processed message ids and epoch-fences
+        stale-round replays; an in-round copy of the *same* message is a
+        dedup hit, and a different message superseded by an earlier
+        arrival is the historic silent collapse.
+        """
+        tel = self.telemetry
+        carried = [env.clone(arrival=max(env.arrival, start)) for env in self.pending]
+        self.pending = []
+        candidates = sorted(
+            released + carried + fresh,
+            key=lambda e: (
+                e.arrival,
+                e.client_id,
+                e.solicited_round,
+                -1 if e.seq is None else e.seq,
+            ),
+        )
+        kept: dict[int, Envelope] = {}
+        unique: list[Envelope] = []
+        for env in candidates:
+            verdict = self.gate.check(env)
+            if verdict == "stale":
+                ledger.fenced.append(env.client_id)
+                tel.event(
+                    "net.fenced",
+                    client=env.client_id,
+                    round=round_index,
+                    solicited_round=env.solicited_round,
+                    seq=env.seq,
+                    fence=self.gate.fence_round(env.client_id),
+                )
+                continue
+            first = kept.get(env.client_id)
+            if verdict == "duplicate" or first is not None:
+                if verdict == "duplicate" or (
+                    env.seq is not None and env.seq == first.seq
+                ):
+                    ledger.dedup.append(env.client_id)
+                    tel.event(
+                        "net.dedup",
+                        client=env.client_id,
+                        round=round_index,
+                        solicited_round=env.solicited_round,
+                        seq=env.seq,
+                    )
+                continue
+            kept[env.client_id] = env
+            unique.append(env)
+        return unique
+
+    def _admit(
+        self,
+        round_index: int,
+        unique: list[Envelope],
+        quorum: int,
+        deadline_at: float,
+        param_dim: int,
+        ledger: RoundLedger,
+    ) -> tuple[float | None, list[Envelope], list[int]]:
+        """Admission in arrival order: ``(commit time, overflow, struck)``.
+
+        The round commits at the arrival of the ``quorum``-th valid
+        update; everything after it or past the deadline overflows to
+        the late phase.  A message id is marked processed only on
+        terminal consumption (admitted / probation-scored / struck
+        invalid); deferred, shed or rejected copies stay unmarked so an
+        at-least-once retransmit gets its second chance.
+        """
+        strike_quarantined_now: list[int] = []
+        overflow: list[Envelope] = []
+        commit_time: float | None = None
+        for env in unique:
+            if env.arrival > deadline_at or commit_time is not None:
+                overflow.append(env)
+                continue
+            problem = checksum_problem(env)
+            if problem is None:
+                problem = validate_update(env.payload, param_dim)
+            self._clear_miss(env.client_id)  # it did respond in time
+            self.gate.mark_processed(env)
+            if problem is not None:
+                ledger.invalid.append((env.client_id, problem))
+                self.telemetry.event(
+                    "service.report_invalid",
+                    client=env.client_id,
+                    round=round_index,
+                    reason=problem,
+                )
+                self._strike(env.client_id, strike_quarantined_now)
+            elif env.probation:
+                ledger.probation.append(env)
+            else:
+                ledger.accepted.append(env)
+                if len(ledger.accepted) == quorum:
+                    commit_time = env.arrival
+        return commit_time, overflow, strike_quarantined_now
+
+    def _commit(
+        self,
+        round_index: int,
+        quorum: int,
+        quorum_met: bool,
+        global_params: np.ndarray,
+        accepted_env: list[Envelope],
+    ) -> tuple[bool, bool]:
+        """Aggregate a quorum-met round, or count the failure and maybe
+        degrade; returns ``(entered_degraded, exited_degraded)``."""
+        tel = self.telemetry
+        if not quorum_met:
+            self._consecutive_failures += 1
+            tel.event(
+                "service.quorum_failed",
+                round=round_index,
+                accepted=len(accepted_env),
+                quorum=quorum,
+                consecutive=self._consecutive_failures,
+            )
+            tel.count("service.rounds_quorum_failed")
+            if self.degraded or not self._should_degrade():
+                return False, False
+            self.degraded = True
+            self._enter_degraded(round_index)
+            return True, False
+        exited_degraded = self.degraded
+        if self.degraded:
+            self.degraded = False
+            tel.event(
+                "service.recovered",
+                round=round_index,
+                failures=self._consecutive_failures,
+            )
+        self._consecutive_failures = 0
+        update = self.aggregator.aggregate(
+            np.stack([env.payload for env in accepted_env]),
+            client_ids=[env.client_id for env in accepted_env],
+            round_index=round_index,
+            telemetry=tel,
+        )
+        self.model.load_flat_parameters(global_params + update)
+        self._committed_rounds += 1
+        # epoch fence: these (client, round) updates are now in the
+        # aggregate — any replayed copy claiming this round or an
+        # earlier one is stale and can never land again
+        for env in accepted_env:
+            self.gate.mark_aggregated(env.client_id, env.solicited_round)
+        return False, exited_degraded
+
+    def _score_trust(
+        self, round_index: int, ledger: RoundLedger
+    ) -> tuple[list[int], list[int], float]:
+        """Online trust: ``(quarantined, restored, cohort trust)``.
+
+        The aggregated cohort is scored, then probation deltas against
+        the same (trusted) reference.
+        """
+        tel = self.telemetry
+        accepted_env, probation_env = ledger.accepted, ledger.probation
+        scored_env = accepted_env + probation_env
+        round_scores = self.trust.score_round(
+            [env.client_id for env in scored_env],
+            [env.payload for env in scored_env],
+            num_reference=len(accepted_env),
+        )
+        for cid in sorted(round_scores):
+            tel.event(
+                "trust.score",
+                client=cid,
+                round=round_index,
+                score=round_scores[cid],
+                trust=self.trust.trust(cid),
+                probation=cid in self.trust_quarantined,
+            )
+        quarantined_now: list[int] = []
+        already = self.strike_quarantined | set(self.trust_quarantined)
+        for cid in self.trust.quarantine_candidates(exclude=already):
+            self.trust_quarantined[cid] = round_index
+            quarantined_now.append(cid)
+            tel.event(
+                "trust.quarantine",
+                client=cid,
+                round=round_index,
+                trust=self.trust.trust(cid),
+            )
+            tel.count("trust.quarantines")
+        restored_now: list[int] = []
+        probation_ids = [
+            env.client_id for env in probation_env if env.client_id in round_scores
+        ]
+        for cid in self.trust.recovered(probation_ids):
+            self.trust_quarantined.pop(cid, None)
+            self._clear_miss(cid)
+            restored_now.append(cid)
+            tel.event(
+                "trust.restore",
+                client=cid,
+                round=round_index,
+                trust=self.trust.trust(cid),
+            )
+            tel.count("trust.restores")
+        cohort_trust = self.trust.cohort_trust(
+            [c.client_id for c in self._active_clients(round_index)]
+        )
+        return quarantined_now, restored_now, cohort_trust
+
+    def _maybe_cleanse(
+        self, round_index: int, quorum_met: bool, cohort_trust: float | None
+    ) -> bool:
+        """A cohort-level trust dip triggers a bounded incremental cleanse."""
+        cfg = self.config
+        if (
+            cfg.cleanse_threshold is None
+            or not quorum_met
+            or cohort_trust is None
+            or cohort_trust >= cfg.cleanse_threshold
+            or (
+                self._last_cleanse_round is not None
+                and round_index - self._last_cleanse_round <= cfg.cleanse_cooldown
+            )
+        ):
+            return False
+        return self._run_cleanse(round_index, cohort_trust)
+
+    def _late(
+        self,
+        round_index: int,
+        overflow: list[Envelope],
+        deadline_at: float,
+        probation: list,
+        ledger: RoundLedger,
+    ) -> None:
+        """Late policy plus bounded queue, then the round's misses.
+
+        Overflow is handled in stable client order; every non-probation
+        client that missed the round lands in the backoff ledger.
+        """
+        cfg = self.config
+        tel = self.telemetry
+        for env in sorted(overflow, key=lambda e: (e.client_id, e.solicited_round)):
+            cid = env.client_id
+            ledger.late.append(cid)
+            tel.event(
+                "service.report_late",
+                client=cid,
+                round=round_index,
+                solicited_round=env.solicited_round,
+                arrival=env.arrival,
+                deadline=deadline_at,
+            )
+            if env.solicited_round == round_index and not env.probation:
+                self._record_miss(cid, round_index, "late")
+            if (
+                cfg.late_policy != "defer"
+                or env.probation
+                or env.solicited_round != round_index
+            ):
+                # drop policy, probation stragglers, and reports that
+                # already had their second chance all expire here
+                continue
+            if len(self.pending) >= cfg.max_pending:
+                if cfg.backpressure == "shed_oldest":
+                    oldest = self.pending.pop(0)
+                    ledger.shed.append(oldest.client_id)
+                    tel.event(
+                        "service.report_shed",
+                        client=oldest.client_id,
+                        round=round_index,
+                        solicited_round=oldest.solicited_round,
+                    )
+                    tel.count("service.reports_shed")
+                else:
+                    ledger.rejected.append(cid)
+                    tel.event(
+                        "service.report_rejected",
+                        client=cid,
+                        round=round_index,
+                    )
+                    tel.count("service.reports_rejected")
+                    continue
+            self.pending.append(env)
+            ledger.deferred.append(cid)
+        probation_ids = {c.client_id for c in probation}
+        for cid, _ in ledger.no_response:
+            if cid not in probation_ids:
+                self._record_miss(cid, round_index, "no_response")
+
+    def _evaluate(self, round_index: int) -> tuple[float | None, float | None]:
+        """Periodic evaluation on the (possibly frozen) served model."""
+        cfg = self.config
+        if not cfg.eval_every or (round_index + 1) % cfg.eval_every:
+            return None, None
+        attack_acc = None
+        with self.telemetry.span("service.evaluation", round=round_index):
+            test_acc = test_accuracy(self.model, self.test_set)
+            if self.backdoor_task is not None:
+                attack_acc = attack_success_rate(
+                    self.model, self.backdoor_task, self.test_set
+                )
+        return test_acc, attack_acc
 
     # -- live metrics & alerting ---------------------------------------
 
@@ -1433,24 +1392,11 @@ class DefenseService:
         snapshot = checkpoint.load_latest("service")
         if snapshot is None:
             return
-        model_arrays = {
-            name: value
-            for name, value in snapshot.arrays.items()
-            if not name.startswith(
-                (DELTA_PREFIX, PENDING_PREFIX, AGGREGATOR_PREFIX, HELD_PREFIX)
-            )
-        }
-        apply_model_state(self.model, model_arrays)
+        apply_model_state(
+            self.model, model_arrays(snapshot.arrays, self._OWN_PREFIXES)
+        )
 
     # -- incremental cleanse -------------------------------------------
-
-    def _cleanse_clients(self, round_index: int) -> list:
-        return [
-            c
-            for c in self._candidates(round_index)
-            if c.client_id not in self.strike_quarantined
-            and c.client_id not in self.trust_quarantined
-        ]
 
     def _run_cleanse(self, round_index: int, cohort_trust: float) -> bool:
         """A bounded FP/AW pass through DefensePipeline, mid-stream."""
@@ -1460,7 +1406,7 @@ class DefenseService:
 
         tel = self.telemetry
         cfg = self.config
-        clients = self._cleanse_clients(round_index)
+        clients = self._active_clients(round_index)
         if len(clients) < cfg.min_cleanse_clients:
             tel.event(
                 "service.cleanse_skipped",
@@ -1528,32 +1474,13 @@ class DefenseService:
         """
         if num_rounds < 1:
             raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
-        tel = self.telemetry
         ctx = self.context
         checkpoint = ctx.checkpoint
-        start_round = 0
-        run_span = None
-        if ctx.resume:
-            if checkpoint is None:
-                raise ValueError("context.resume requires a checkpoint manager")
-            snapshot = checkpoint.load_latest("service")
-            if snapshot is not None:
-                tel.event(
-                    "persist.resume",
-                    kind="service",
-                    step=snapshot.step,
-                    path=snapshot.path,
-                    rejected=[f for f, _ in checkpoint.last_rejected],
-                )
-                self.restore_checkpoint(snapshot)
-                start_round = snapshot.step
-                span_id = snapshot.meta.get("service_span_id")
-                if span_id is not None:
-                    run_span = tel.resume_span(
-                        "service.run", span_id, rounds=num_rounds
-                    )
-        if run_span is None:
-            run_span = tel.span("service.run", rounds=num_rounds)
+        if ctx.resume and checkpoint is None:
+            raise ValueError("context.resume requires a checkpoint manager")
+        start_round, run_span, _ = self._resume(
+            checkpoint, ctx.resume, "service.run", rounds=num_rounds
+        )
         with run_span:
             for round_index in range(start_round, num_rounds):
                 outcome = self.run_round(round_index)
@@ -1581,89 +1508,36 @@ class DefenseService:
         snapshot is by construction a *last-good* model — exactly what
         degraded mode re-serves.
         """
-        if isinstance(self.clients, ClientPool):
-            raise ValueError(
-                "checkpointing a lazily materialized ClientPool is not "
-                "supported: unmaterialized clients have no state to "
-                "capture, so a restore could not be bitwise faithful"
-            )
-        tel = self.telemetry
-        tel.event("persist.checkpoint", kind="service", round=round_cursor)
-        arrays = pack_model_state(self.model)
-        client_meta, client_arrays = capture_client_states(self.clients)
-        arrays.update(client_arrays)
+        pending_arrays: dict[str, np.ndarray] = {}
         pending_meta = []
         for i, env in enumerate(self.pending):
             key = f"{PENDING_PREFIX}{i}"
-            arrays[key] = np.asarray(env.payload)
+            pending_arrays[key] = np.asarray(env.payload)
             pending_meta.append(env.to_meta(key))
-        aggregator_meta, aggregator_arrays = pack_state_arrays(
-            self.aggregator.state_dict(), AGGREGATOR_PREFIX
-        )
-        arrays.update(aggregator_arrays)
-        transport_meta = {
-            "gate": self.gate.state_dict(),
-            "seq": {str(k): int(v) for k, v in self._seq.items()},
-        }
+        arrays, meta = self._pack_state(round_cursor, self.history, pending_arrays)
         if self.network is not None:
             network_meta, network_arrays = self.network.pack_state()
             arrays.update(network_arrays)
-            transport_meta["network"] = network_meta
-        meta = {
-            "round_cursor": int(round_cursor),
-            "transport": transport_meta,
-            "aggregator": aggregator_meta,
-            "strikes": {str(k): int(v) for k, v in self._strikes.items()},
-            "strike_quarantined": sorted(int(c) for c in self.strike_quarantined),
-            "trust_quarantined": {
+            meta["transport"]["network"] = network_meta
+        meta.update(
+            trust_quarantined={
                 str(k): int(v) for k, v in self.trust_quarantined.items()
             },
-            "misses": {str(k): int(v) for k, v in self._misses.items()},
-            "backoff_until": {
-                str(k): int(v) for k, v in self._backoff_until.items()
-            },
-            "consecutive_failures": int(self._consecutive_failures),
-            "degraded": bool(self.degraded),
-            "last_cleanse_round": self._last_cleanse_round,
-            "committed_rounds": int(self._committed_rounds),
-            "trust": self.trust.state_dict(),
-            "pending": pending_meta,
-            "clients": client_meta,
-            "history": self.history.to_jsonable(),
-            "metrics": (
-                None if self.metrics is None else self.metrics.state_dict()
-            ),
-            "telemetry": tel.state_dict(),
-            "service_span_id": (
-                tel.current_span.span_id if tel.current_span is not None else None
-            ),
-        }
-        fault_model = shared_fault_model(self.clients)
-        if fault_model is not None:
-            meta["fault_model"] = fault_model.state_dict()
-        return checkpoint.save("service", round_cursor, arrays, meta)
+            misses={str(k): int(v) for k, v in self._misses.items()},
+            backoff_until={str(k): int(v) for k, v in self._backoff_until.items()},
+            consecutive_failures=int(self._consecutive_failures),
+            degraded=bool(self.degraded),
+            last_cleanse_round=self._last_cleanse_round,
+            committed_rounds=int(self._committed_rounds),
+            trust=self.trust.state_dict(),
+            pending=pending_meta,
+            metrics=None if self.metrics is None else self.metrics.state_dict(),
+        )
+        return checkpoint.save(self.KIND, round_cursor, arrays, meta)
 
     def restore_checkpoint(self, snapshot: Snapshot) -> None:
         """Apply a ``"service"`` snapshot to this (freshly built) service."""
         meta = snapshot.meta
-        model_arrays = {
-            name: value
-            for name, value in snapshot.arrays.items()
-            if not name.startswith(
-                (DELTA_PREFIX, PENDING_PREFIX, AGGREGATOR_PREFIX, HELD_PREFIX)
-            )
-        }
-        apply_model_state(self.model, model_arrays)
-        if "aggregator" in meta:
-            self.aggregator.load_state_dict(
-                unpack_state_arrays(meta["aggregator"], snapshot.arrays)
-            )
-        restore_client_states(self.clients, meta["clients"], snapshot.arrays)
-        fault_model = shared_fault_model(self.clients)
-        if fault_model is not None and "fault_model" in meta:
-            fault_model.load_state_dict(meta["fault_model"])
-        self._strikes = {int(k): int(v) for k, v in meta["strikes"].items()}
-        self.strike_quarantined = {int(c) for c in meta["strike_quarantined"]}
         self.trust_quarantined = {
             int(k): int(v) for k, v in meta["trust_quarantined"].items()
         }
@@ -1680,23 +1554,14 @@ class DefenseService:
             Envelope.from_meta(record, snapshot.arrays[record["key"]])
             for record in meta["pending"]
         ]
-        # .get: snapshots written before the transport layer have no
-        # gate/seq cursors — start those ledgers empty
-        transport_meta = meta.get("transport")
-        if transport_meta is not None:
-            self.gate.load_state_dict(transport_meta["gate"])
-            self._seq = {
-                str(k): int(v) for k, v in transport_meta["seq"].items()
-            }
-            if self.network is not None and "network" in transport_meta:
-                self.network.load_state(
-                    transport_meta["network"], snapshot.arrays
-                )
+        network_meta = meta.get("transport", {}).get("network")
+        if self.network is not None and network_meta is not None:
+            self.network.load_state(network_meta, snapshot.arrays)
         self.history = ServiceHistory.from_jsonable(meta["history"])
         if self.metrics is not None:
             # .get: pre-metrics snapshots restore with empty window state
             self.metrics.load_state_dict(meta.get("metrics"))
-        self.telemetry.load_state_dict(meta.get("telemetry"))
+        self._restore_state(snapshot, self._OWN_PREFIXES)
 
     def __repr__(self) -> str:
         return (

@@ -18,9 +18,9 @@ expensive rounds; :mod:`repro.persist` makes both phases survivable:
   non-finite aggregates, exploding update norms and validation collapse
   so the round loop can roll back instead of training on garbage.
 
-The package depends only on NumPy and the standard library, so every
-layer of the stack (``fl``, ``defense``, ``experiments``) can import it
-without cycles.
+The package depends only on NumPy, the standard library and
+:mod:`repro.nn`'s model codec, so every layer of the stack (``fl``,
+``defense``, ``experiments``) can import it without cycles.
 """
 
 from .atomic import (
@@ -35,8 +35,11 @@ from .state import (
     AGGREGATOR_PREFIX,
     DELTA_PREFIX,
     capture_client_states,
+    model_arrays,
+    pack_run_state,
     pack_state_arrays,
     restore_client_states,
+    restore_run_state,
     rng_state_from_jsonable,
     rng_state_to_jsonable,
     shared_fault_model,
@@ -56,6 +59,9 @@ __all__ = [
     "AGGREGATOR_PREFIX",
     "DELTA_PREFIX",
     "capture_client_states",
+    "model_arrays",
+    "pack_run_state",
+    "restore_run_state",
     "pack_state_arrays",
     "unpack_state_arrays",
     "restore_client_states",

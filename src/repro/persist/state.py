@@ -6,7 +6,13 @@ streams, quarantine sets, telemetry cursors — must round-trip through
 JSON.  The helpers here are deliberately duck-typed (they look at
 ``client.rng`` / ``client._last_delta`` attributes rather than
 importing :mod:`repro.fl`), which keeps :mod:`repro.persist` free of
-upward dependencies.
+upward dependencies; the model codec comes from :mod:`repro.nn`, below
+every package that checkpoints.
+
+:func:`pack_run_state` / :func:`restore_run_state` are the closure every
+snapshot writer shares — the model (parameters and prune masks), every
+client's mutable state, and the population's shared fault schedule —
+so each writer adds only its own ledgers on top.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from ..nn.serialization import apply_model_state, pack_model_state
 
 __all__ = [
     "DELTA_PREFIX",
@@ -25,6 +33,9 @@ __all__ = [
     "capture_client_states",
     "restore_client_states",
     "shared_fault_model",
+    "model_arrays",
+    "pack_run_state",
+    "restore_run_state",
     "stitch_streams",
 ]
 
@@ -200,6 +211,56 @@ def shared_fault_model(clients: Iterable):
         if faults is not None:
             return faults
     return None
+
+
+def model_arrays(
+    arrays: Mapping[str, np.ndarray], exclude: Sequence[str] = ()
+) -> dict[str, np.ndarray]:
+    """The model's arrays of a snapshot: client, aggregator and ``exclude``
+    prefixed names filtered out."""
+    skip = (DELTA_PREFIX, AGGREGATOR_PREFIX, *exclude)
+    return {
+        name: value for name, value in arrays.items() if not name.startswith(skip)
+    }
+
+
+def pack_run_state(
+    model, clients: Sequence, extra_arrays: Mapping[str, np.ndarray] | None = None
+) -> tuple[dict[str, np.ndarray], dict]:
+    """``(arrays, meta)`` of the model/client/fault-model closure.
+
+    Arrays are the model's, then ``extra_arrays`` (the caller's own,
+    kept ahead of the client caches), then the clients'; ``meta``
+    holds the client records under ``"clients"`` and, when the clients
+    share one, the fault schedule under ``"fault_model"``.  The caller
+    adds its ledgers to both and saves.
+    """
+    arrays = pack_model_state(model)
+    if extra_arrays:
+        arrays.update(extra_arrays)
+    client_meta, client_arrays = capture_client_states(clients)
+    arrays.update(client_arrays)
+    meta = {"clients": client_meta}
+    fault_model = shared_fault_model(clients)
+    if fault_model is not None:
+        meta["fault_model"] = fault_model.state_dict()
+    return arrays, meta
+
+
+def restore_run_state(
+    model,
+    clients: Sequence,
+    arrays: Mapping[str, np.ndarray],
+    meta: dict,
+    exclude: Sequence[str] = (),
+) -> None:
+    """Apply a :func:`pack_run_state` closure; ``exclude`` names the
+    caller's own array prefixes, which are not model parameters."""
+    apply_model_state(model, model_arrays(arrays, exclude))
+    restore_client_states(clients, meta["clients"], arrays)
+    fault_model = shared_fault_model(clients)
+    if fault_model is not None and "fault_model" in meta:
+        fault_model.load_state_dict(meta["fault_model"])
 
 
 def stitch_streams(

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import nn
 from repro.data.dataset import Dataset
+
+# every run draws the same Hypothesis examples: a tier-1 failure then
+# reproduces on the next run instead of vanishing with a fresh seed
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.fl.aggregation import (
-    AGGREGATION_RULES,
     Aggregator,
     FoolsGold,
     FunctionAggregator,
@@ -16,12 +15,7 @@ from repro.fl.aggregation import (
     TrimmedMean,
     aggregator_names,
     build_aggregator,
-    bulyan,
     coordinate_median,
-    fedavg,
-    krum,
-    multi_krum,
-    trimmed_mean,
 )
 from repro.fl.server import FederatedServer
 from repro.specs import coerce_value, format_spec, parse_spec
@@ -123,38 +117,6 @@ class TestAggregatorProtocol:
 
     def test_repr_carries_spec(self):
         assert "num_byzantine=2" in repr(build_aggregator("krum:num_byzantine=2"))
-
-
-class TestLegacyRulesView:
-    """AGGREGATION_RULES stays a mapping over every registered rule, and
-    the six original names still resolve to the original functions."""
-
-    LEGACY = {
-        "fedavg": fedavg,
-        "median": coordinate_median,
-        "trimmed_mean": trimmed_mean,
-        "krum": krum,
-        "multi_krum": multi_krum,
-        "bulyan": bulyan,
-    }
-
-    def test_legacy_names_map_to_original_functions(self):
-        for name, fn in self.LEGACY.items():
-            assert AGGREGATION_RULES[name] is fn
-
-    def test_new_rules_are_callable_members(self, rng):
-        u = rng.standard_normal((4, 3))
-        for name in NEW_RULES:
-            assert name in AGGREGATION_RULES
-            assert AGGREGATION_RULES[name](u).shape == (3,)
-
-    def test_iteration_covers_registry(self):
-        assert sorted(AGGREGATION_RULES) == aggregator_names()
-        assert len(AGGREGATION_RULES) == len(aggregator_names())
-
-    def test_read_only(self):
-        with pytest.raises(TypeError):
-            AGGREGATION_RULES["custom"] = fedavg
 
 
 class TestFoolsGold:
@@ -304,29 +266,7 @@ class TestNonFiniteFilteringNewRules:
         assert sorted(fg.history) == [7, 9]
 
 
-class TestDeprecatedAggregateKwarg:
-    def test_server_warns_and_still_works(self, tiny_world):
-        model, clients, dataset = tiny_world
-        with pytest.warns(DeprecationWarning, match="aggregate=.*deprecated"):
-            server = FederatedServer(
-                model, clients, dataset, aggregate=coordinate_median
-            )
-        assert isinstance(server.aggregator, FunctionAggregator)
-        assert server.aggregate is server.aggregator
-
-    def test_both_kwargs_rejected(self, tiny_world):
-        model, clients, dataset = tiny_world
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="mutually exclusive"):
-                FederatedServer(
-                    model,
-                    clients,
-                    dataset,
-                    aggregate=coordinate_median,
-                    aggregator="median",
-                )
-
+class TestAggregatorKwarg:
     def test_aggregator_spec_accepted(self, tiny_world):
         model, clients, dataset = tiny_world
         with warnings.catch_warnings():

@@ -19,12 +19,12 @@ from repro.fl.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.fl.faults import ClientDropout, FaultModel, wrap_clients
 from repro.fl.service import (
     DefenseService,
-    ReportEnvelope,
     RoundOutcome,
     ServiceConfig,
     ServiceHistory,
 )
 from repro.fl.traffic import BurstyTraffic, ComposedTraffic, FlashCrowdTraffic, TrafficPattern
+from repro.fl.transport import Envelope
 from repro.fl.trust import TrustConfig
 from repro.obs.context import RunContext
 from repro.obs.schema import dumps_canonical
@@ -283,8 +283,8 @@ class TestRoundLifecycle:
         traffic = FixedTraffic({0: {0: 5.0}})
         service, _ = make_service(clients, stub_config(quorum=1), traffic)
         service.pending = [
-            ReportEnvelope(0, 0, 0.2, 2.0 * ONES),
-            ReportEnvelope(0, 0, 0.5, 3.0 * ONES),
+            Envelope(0, 0, 0.2, 2.0 * ONES),
+            Envelope(0, 0, 0.5, 3.0 * ONES),
         ]
         outcome = service.run_round(0)
         assert outcome.accepted == [0]
@@ -486,7 +486,7 @@ class TestTrustIntegration:
         assert [cid for cid, _ in outcome.invalid] == [0]
         # exactly one strike for one bad report, and the trust tracker
         # never saw it (invalid payloads produce no observation)
-        assert service._strikes == {0: 1}
+        assert service.strikes.counts == {0: 1}
         assert 0 not in service.trust.observations
         assert 0 not in service.trust.scores
 
@@ -501,7 +501,7 @@ class TestTrustIntegration:
         assert service.trust_quarantined == {}
         assert history.trust_quarantine_events == []
         # strikes stopped at the quarantine threshold: no double counting
-        assert service._strikes == {0: 2}
+        assert service.strikes.counts == {0: 2}
 
 
 # -- checkpoint / resume state identity --------------------------------

@@ -528,7 +528,7 @@ class TestLossyService:
         assert reasons == {"checksum mismatch (corrupted in transit)"}
         assert history.committed_rounds == []
         assert params.tobytes() == np.zeros(DIM).tobytes()
-        assert service._strikes  # corruption feeds the strike machinery
+        assert service.strikes.counts  # corruption feeds the strike machinery
         assert network.stats["corrupted"] > 0
 
     def test_total_loss_reads_as_silence(self):

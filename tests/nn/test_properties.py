@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
@@ -20,6 +20,7 @@ class TestConvGradientProperties:
         seed=st.integers(0, 500),
     )
     @settings(max_examples=15, deadline=None)
+    @example(in_channels=3, out_channels=3, kernel=1, size=6, seed=408)
     def test_conv_gradients_hold_for_any_shape(
         self, in_channels, out_channels, kernel, size, seed
     ):
@@ -28,7 +29,10 @@ class TestConvGradientProperties:
             in_channels, out_channels, kernel, padding=kernel // 2, rng=rng
         )
         x = rng.standard_normal((2, in_channels, size, size))
-        errors = check_layer_gradients(layer, x, rng)
+        # conv is linear in its input and weights, so a larger step adds
+        # no truncation error and shrinks the difference quotient's
+        # rounding noise below GRAD_TOL on near-zero gradient elements
+        errors = check_layer_gradients(layer, x, rng, eps=1e-5)
         assert max(errors.values()) < GRAD_TOL
 
     @given(
