@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.fl.faults import FaultModel
 from repro.persist.state import (
+    AGGREGATOR_PREFIX,
     DELTA_PREFIX,
     capture_client_states,
+    model_arrays,
+    pack_run_state,
     restore_client_states,
+    restore_run_state,
     rng_state_from_jsonable,
     rng_state_to_jsonable,
     shared_fault_model,
@@ -95,6 +101,66 @@ class TestSharedFaultModel:
 
     def test_none_for_plain_population(self):
         assert shared_fault_model([StubClient(0)]) is None
+
+
+class TestRunState:
+    @staticmethod
+    def world(model_seed, client_seed, faults_drawn=0):
+        model = nn.Sequential(
+            nn.Linear(3, 2, rng=np.random.default_rng(model_seed))
+        )
+        faults = FaultModel(dropout_prob=0.5, seed=4)
+        for _ in range(faults_drawn):
+            faults.draw_dropout()
+        clients = [
+            StubClient(0, rng=np.random.default_rng(client_seed), faults=faults),
+            StubClient(
+                1,
+                rng=np.random.default_rng(client_seed + 1),
+                last_delta=np.full(3, float(client_seed)),
+                faults=faults,
+            ),
+        ]
+        return model, clients, faults
+
+    def test_round_trip_restores_model_clients_and_fault_model(self):
+        model, clients, faults = self.world(0, 10, faults_drawn=3)
+        arrays, meta = pack_run_state(model, clients)
+        assert meta["fault_model"] == faults.state_dict()
+        expected_draws = [client.rng.random(2) for client in clients]
+
+        model2, clients2, faults2 = self.world(1, 50)
+        restore_run_state(model2, clients2, arrays, meta)
+        np.testing.assert_array_equal(
+            model2.flat_parameters(), model.flat_parameters()
+        )
+        for client, expected in zip(clients2, expected_draws):
+            np.testing.assert_array_equal(client.rng.random(2), expected)
+        np.testing.assert_array_equal(clients2[1]._last_delta, np.full(3, 10.0))
+        assert faults2.state_dict() == faults.state_dict()
+
+    def test_extra_arrays_sit_between_model_and_clients_and_stay_out(self):
+        model, clients, _ = self.world(0, 10)
+        extra = {"watch.ema": np.zeros(2)}
+        arrays, meta = pack_run_state(model, clients, extra_arrays=extra)
+        names = list(arrays)
+        model_names = names[: names.index("watch.ema")]
+        assert model_names == list(model_arrays(arrays, exclude=("watch.",)))
+        assert names[names.index("watch.ema") + 1 :] == [f"{DELTA_PREFIX}1"]
+
+        restore_run_state(model, clients, arrays, meta, exclude=("watch.",))
+        with pytest.raises(ValueError, match="unexpected parameter 'watch.ema'"):
+            restore_run_state(model, clients, arrays, meta)
+
+    def test_model_arrays_filters_client_and_aggregator_prefixes(self):
+        arrays = {
+            "0.weight": np.ones(1),
+            f"{DELTA_PREFIX}3": np.ones(1),
+            f"{AGGREGATOR_PREFIX}momentum": np.ones(1),
+            "mine.x": np.ones(1),
+        }
+        assert list(model_arrays(arrays)) == ["0.weight", "mine.x"]
+        assert list(model_arrays(arrays, exclude=("mine.",))) == ["0.weight"]
 
 
 def ev(seq):
