@@ -1,15 +1,17 @@
 """Checksummed snapshot directories with a manifest and fallback loads.
 
 A :class:`CheckpointManager` owns one directory.  Every
-:meth:`~CheckpointManager.save` produces a single snapshot file — an
-``.npz`` archive holding the caller's arrays plus a JSON metadata
-record — written atomically (:mod:`repro.persist.atomic`) and indexed in
+:meth:`~CheckpointManager.save` produces a single snapshot file — one
+flat container holding a JSON header (the caller's metadata record plus
+an index of the arrays) followed by the arrays' raw bytes — written
+atomically (:mod:`repro.persist.atomic`) and indexed in
 ``MANIFEST.json`` alongside its SHA-256.  The manifest is the source of
 truth: a snapshot file not listed there (a crash hit between the
-snapshot rename and the manifest update) is treated as if it never
-happened, and a listed snapshot whose bytes fail the checksum is skipped
-by :meth:`~CheckpointManager.load_latest`, which falls back to the
-newest snapshot that still verifies.
+snapshot rename and the manifest update, or between the manifest update
+and the deletion of the snapshots retention evicted) is treated as if it
+never existed, and a listed snapshot whose bytes fail the checksum or
+the container checks is skipped by :meth:`~CheckpointManager.load_latest`,
+which falls back to the newest snapshot that still verifies.
 
 Snapshots are namespaced by ``kind`` (``"train"``, ``"defense"``,
 ``"fine_tune"``, ...) so one directory can persist a whole pipeline, and
@@ -20,9 +22,10 @@ federations.
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
+import struct
 from typing import Mapping
 
 import numpy as np
@@ -38,34 +41,104 @@ from .atomic import (
 __all__ = ["Snapshot", "CheckpointManager"]
 
 _MANIFEST_NAME = "MANIFEST.json"
-_MANIFEST_VERSION = 1
+# version 1 directories hold .npz snapshots this decoder cannot read
+_MANIFEST_VERSION = 2
 _META_KEY = "__meta__"
+_MAGIC = b"repro-snapshot\n"
+_HEADER_LEN = struct.Struct("<Q")
+_BODY_START = len(_MAGIC) + _HEADER_LEN.size
 
 
 def _encode_snapshot(arrays: Mapping[str, np.ndarray], meta: dict) -> bytes:
-    """Pack arrays + JSON meta into one deterministic ``.npz`` payload."""
+    """Pack arrays + JSON meta into one deterministic flat container.
+
+    Layout: the magic line, the header's length as a little-endian
+    uint64, the header — ``json.dumps({"meta": meta, "arrays": index},
+    sort_keys=True)`` where ``index`` lists ``[name, dtype.str, shape,
+    offset, nbytes]`` per array in write order — and then every array's
+    C-order bytes in the byte order ``dtype.str`` names, concatenated at
+    those offsets.  Object dtypes and
+    dtypes their ``dtype.str`` does not spell out (structured records)
+    are refused: raw bytes could not bring them back.
+    """
     if _META_KEY in arrays:
         raise ValueError(f"array name {_META_KEY!r} is reserved")
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    buffer = io.BytesIO()
-    np.savez(
-        buffer,
-        **{_META_KEY: np.frombuffer(meta_bytes, dtype=np.uint8)},
-        **{name: np.asarray(value) for name, value in arrays.items()},
+    index = []
+    chunks = []
+    offset = 0
+    for name, value in arrays.items():
+        array = np.asarray(value)
+        dtype = array.dtype
+        if dtype.hasobject or np.dtype(dtype.str) != dtype:
+            raise ValueError(f"array {name!r} has unsupported dtype {dtype}")
+        chunk = array.tobytes()
+        index.append([name, dtype.str, list(array.shape), offset, len(chunk)])
+        chunks.append(chunk)
+        offset += len(chunk)
+    header = json.dumps({"arrays": index, "meta": meta}, sort_keys=True)
+    header_bytes = header.encode("utf-8")
+    return b"".join(
+        [_MAGIC, _HEADER_LEN.pack(len(header_bytes)), header_bytes, *chunks]
     )
-    return buffer.getvalue()
 
 
 def _decode_snapshot(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
+    """Inverse of :func:`_encode_snapshot`; every array owns its memory.
+
+    Any structural fault — wrong magic, a header length or index entry
+    pointing past the body, a byte count that disagrees with the shape,
+    an object dtype — raises :class:`CorruptSnapshotError`, which
+    :meth:`CheckpointManager.load_latest` treats as a torn file.
+    """
+    if not data.startswith(_MAGIC):
+        raise CorruptSnapshotError("snapshot payload lacks the container magic")
+    if len(data) < _BODY_START:
+        raise CorruptSnapshotError("snapshot header truncated")
+    (header_len,) = _HEADER_LEN.unpack_from(data, len(_MAGIC))
+    body_start = _BODY_START + header_len
+    if body_start > len(data):
+        raise CorruptSnapshotError(
+            f"snapshot header length {header_len} runs past the payload"
+        )
     try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-            arrays = {
-                name: archive[name]
-                for name in archive.files
-                if name != _META_KEY
-            }
-            meta = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        header = json.loads(data[_BODY_START:body_start].decode("utf-8"))
+        meta = header["meta"]
+        index = header["arrays"]
+        body = memoryview(data)[body_start:]
+        arrays = {}
+        expected = 0
+        for name, dtype_str, shape, offset, nbytes in index:
+            dtype = np.dtype(dtype_str)
+            if dtype.hasobject:
+                raise ValueError(f"array {name!r} has object dtype")
+            if type(name) is not str or any(
+                type(n) is not int or n < 0 for n in (*shape, offset, nbytes)
+            ):
+                raise ValueError(f"array {name!r} has a malformed index entry")
+            if offset != expected or offset + nbytes > len(body):
+                raise ValueError(
+                    f"array {name!r} spans [{offset}, {offset + nbytes}) "
+                    f"of a {len(body)}-byte body"
+                )
+            if nbytes != math.prod(shape) * dtype.itemsize:
+                raise ValueError(
+                    f"array {name!r}: {nbytes} bytes for shape {shape} "
+                    f"of {dtype}"
+                )
+            if name in arrays:
+                raise ValueError(f"array {name!r} listed twice")
+            arrays[name] = (
+                np.frombuffer(body, dtype, math.prod(shape), offset)
+                .reshape(shape)
+                .copy()
+            )
+            expected = offset + nbytes
+        if expected != len(body):
+            raise ValueError(
+                f"{len(body) - expected} trailing bytes after the last array"
+            )
+    except (ValueError, KeyError, TypeError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise CorruptSnapshotError(f"snapshot payload undecodable: {exc}") from exc
     return arrays, meta
 
@@ -184,6 +257,8 @@ class CheckpointManager:
         durable *before* the manifest points at it, so a crash at any
         instant leaves either the old manifest (new file ignored) or the
         new manifest over a complete file — never a dangling reference.
+        Files retention evicts are deleted only after the new manifest
+        is durable, for the same reason.
         """
         os.makedirs(self.directory, exist_ok=True)
         data = _encode_snapshot(arrays, meta)
@@ -202,13 +277,20 @@ class CheckpointManager:
                 "bytes": len(data),
             }
         )
-        entries = self._apply_retention(entries)
-        self._write_manifest(entries)
+        survivors, evicted = self._retention(entries)
+        self._write_manifest(survivors)
+        # unlink only once the manifest no longer names the evicted files:
+        # a crash before this point leaves unlisted orphans, never a
+        # manifest whose only entries are gone
+        for entry in evicted:
+            try:
+                os.unlink(os.path.join(self.directory, entry["file"]))
+            except OSError:
+                pass  # already gone; the manifest drop is what matters
         return Snapshot(kind, int(step), dict(arrays), dict(meta), path, checksum)
 
-    def _apply_retention(self, entries: list[dict]) -> list[dict]:
-        """Keep the newest ``keep`` per kind; delete evicted files."""
-        survivors: list[dict] = []
+    def _retention(self, entries: list[dict]) -> tuple[list[dict], list[dict]]:
+        """``(survivors, evicted)``: the newest ``keep`` per kind and the rest."""
         by_kind: dict[str, list[dict]] = {}
         for entry in entries:
             by_kind.setdefault(entry["kind"], []).append(entry)
@@ -217,12 +299,7 @@ class CheckpointManager:
             evicted.extend(kind_entries[: -self.keep])
         evicted_files = {e["file"] for e in evicted}
         survivors = [e for e in entries if e["file"] not in evicted_files]
-        for entry in evicted:
-            try:
-                os.unlink(os.path.join(self.directory, entry["file"]))
-            except OSError:
-                pass  # already gone; the manifest drop is what matters
-        return survivors
+        return survivors, evicted
 
     def load_latest(self, kind: str) -> Snapshot | None:
         """The newest snapshot of ``kind`` that passes verification.

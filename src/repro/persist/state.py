@@ -1,7 +1,7 @@
 """Codecs between live run state and its snapshot-serializable form.
 
-Snapshots store arrays (NumPy, via the ``.npz`` payload) and a JSON
-metadata record; everything stateful that is *not* an array — RNG
+Snapshots store arrays (raw NumPy bytes in the snapshot container) and
+a JSON metadata record; everything stateful that is *not* an array — RNG
 streams, quarantine sets, telemetry cursors — must round-trip through
 JSON.  The helpers here are deliberately duck-typed (they look at
 ``client.rng`` / ``client._last_delta`` attributes rather than
@@ -49,6 +49,9 @@ AGGREGATOR_PREFIX = "aggregator_state."
 
 _ARRAY_MARKER = "__array__"
 
+# exact JSON scalar types _jsonable returns untouched
+_PLAIN_TYPES = frozenset({int, str, float, bool, type(None)})
+
 
 def rng_state_to_jsonable(rng: np.random.Generator | None):
     """A generator's full stream position as plain JSON types.
@@ -69,6 +72,10 @@ def rng_state_from_jsonable(rng: np.random.Generator, state) -> None:
 
 
 def _jsonable(value):
+    # exact-type fast path: an RNG state is a dict of ints, and every
+    # snapshot encodes one per client
+    if type(value) in _PLAIN_TYPES:
+        return value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -87,12 +94,12 @@ def pack_state_arrays(
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """Split a nested ``state_dict`` into JSON metadata plus named arrays.
 
-    Snapshots keep arrays in the ``.npz`` payload (byte-exact float64
-    round-trip) and everything else in JSON metadata.  This walks an
-    arbitrary nesting of dicts/lists, hoists every ``np.ndarray`` leaf
-    into the returned array mapping under ``prefix``-namespaced keys,
-    and leaves an ``{"__array__": key}`` marker in its place for
-    :func:`unpack_state_arrays` to resolve.
+    Snapshots keep arrays as raw bytes in the snapshot container
+    (byte-exact float64 round-trip) and everything else in JSON
+    metadata.  This walks an arbitrary nesting of dicts/lists, hoists
+    every ``np.ndarray`` leaf into the returned array mapping under
+    ``prefix``-namespaced keys, and leaves an ``{"__array__": key}``
+    marker in its place for :func:`unpack_state_arrays` to resolve.
     """
     arrays: dict[str, np.ndarray] = {}
 
